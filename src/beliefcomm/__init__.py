@@ -36,10 +36,14 @@ from .rate_distortion import (
 from .channel_coding import (
     CommonRandomness,
     CodeRecord,
+    CodedBatch,
     CodedSequence,
     SingleShotBounds,
+    encode_batch,
+    decode_batch,
     encode_mrc,
     decode_mrc,
+    code_per_symbol,
     induced_distribution_exact,
     single_shot_bounds,
     candidate_count,

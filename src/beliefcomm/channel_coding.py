@@ -3,15 +3,24 @@
 The coder communicates a sample from a target distribution q using a prior p
 both ends agree on: shared randomness proposes K candidates i.i.d. from p,
 the encoder picks one with probability proportional to the importance ratio
-q/p and sends only its index. The decoder replays the proposal stream and
-reads off the chosen candidate, so the cost is log2(K) bits regardless of
-the alphabet.
+q/p and sends only its index. The decoder regenerates the indexed candidate
+from the shared seed, so the cost is log2(K) bits regardless of the
+alphabet.
 
-Common randomness is a named counter-style construction: a Philox bit
-generator keyed through numpy's SeedSequence with an explicit
-(domain, *path) spawn key, and all sampling done by inverse CDF on the
-stream's uniform doubles. Equal seeds and paths give byte-identical draws;
-encoder and decoder never need to share mutable state.
+Common randomness is counter-addressed Philox4x64-10 (stream contract
+GENERATOR_ID). Stream (domain, path) of seed s, with a path of at most three
+words in [0, 2^64), has key (s, domain | len(path) << 32); its uniform j is
+word j mod 4 of the Philox block at counter (floor(j/4) + 1, *path, 0...),
+mapped to a double as (w >> 11) * 2^-53. That is exactly the j-th
+``random()`` of ``np.random.Philox(key=..., counter=(0, *path, 0...))``,
+which the per-stream accessors return as the reference. The coder itself
+evaluates whole blocks of streams at once with a numpy Philox kernel, and
+every draw is inverse-CDF sampling on those doubles. Equal seeds and paths
+give byte-identical draws; encoder and decoder share no mutable state.
+
+encode_batch / decode_batch code B targets at once, target b with K[b]
+candidates on stream path paths[b]; encode_mrc / decode_mrc are their
+batch-of-one wrappers.
 """
 
 from __future__ import annotations
@@ -21,40 +30,112 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationCapError
+from .errors import EnumerationCapError, SupportViolationError
 from .learning import Posterior
 from .spaces import Distribution, kl_divergence
 
-GENERATOR_ID = "philox4x64/seedseq-invcdf-v1"
+GENERATOR_ID = "philox4x64/keyed-counter-invcdf-v2"
 
-# spawn-key domains; keep these stable, they are part of the stream contract
+# stream domains; keep these stable, they are part of the stream contract
 _DOMAIN_CANDIDATES = 0
 _DOMAIN_SELECTION = 1
 _DOMAIN_DATA = 2
-_DOMAIN_AUX = 3
 
 DEFAULT_SLACK = 4.0
 DEFAULT_CANDIDATE_CAP = 2**22
 DEFAULT_BLOCK_CAP = 2**16
 
+# uniforms per kernel evaluation and per encoder chunk; bounds the working set
+_CHUNK = 2**13
+_MAX_PATH_WORDS = 3
+
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_LO32 = np.uint64(0xFFFFFFFF)
+_M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> np.uint64(32)
+
+
+def _philox4x64(key: np.ndarray, ctr: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 of each column of a (4, N) uint64 counter array.
+
+    key is a (2, 1) uint64 column. The two 64x64->128 multiplies of a round
+    run as one (2, N) product on 32-bit limbs, lanes (x0, x2) against
+    (x3, x1), updated in place where a temporary can be reused.
+    """
+    s32 = np.uint64(32)
+    even, odd = ctr[0::2], ctr[3::-2]  # (x0, x2), (x3, x1)
+    for _ in range(10):
+        a_lo, hi = even & _LO32, even >> s32
+        hi_lo, lo_hi, mid = hi * _M_LO, a_lo * _M_HI, a_lo * _M_LO
+        mid >>= s32
+        mid += hi_lo & _LO32
+        mid += lo_hi & _LO32
+        mid >>= s32
+        hi *= _M_HI
+        hi += mid
+        hi_lo >>= s32
+        hi += hi_lo
+        lo_hi >>= s32
+        hi += lo_hi
+        # x0' = hi1 ^ x1 ^ k0, x2' = hi0 ^ x3 ^ k1, x1' = lo1, x3' = lo0
+        hi = hi[::-1]
+        hi ^= odd[::-1]
+        hi ^= key
+        even, odd = hi, even * _PHILOX_M
+        key = key + _PHILOX_W
+    return np.stack([even[0], odd[1], even[1], odd[0]])
+
+
+def _as_paths(paths) -> np.ndarray:
+    """Stream paths as a (B, L) uint64 array; L <= 3 words in [0, 2^64)."""
+    # a list goes through object dtype: numpy would infer float64 for words
+    # at or above 2^63 and round them
+    arr = paths if isinstance(paths, np.ndarray) else np.array(paths, dtype=object)
+    if arr.ndim != 2 or arr.shape[1] > _MAX_PATH_WORDS:
+        raise ValueError(
+            f"stream paths must be B rows of at most {_MAX_PATH_WORDS} words, "
+            f"got shape {arr.shape}"
+        )
+    if arr.size == 0:
+        return np.zeros(arr.shape, dtype=np.uint64)
+    if arr.dtype.kind == "O" and not all(
+            isinstance(w, (int, np.integer)) for w in arr.flat):
+        raise ValueError("stream path words must be integers")
+    if arr.dtype.kind not in "iuO" or int(arr.min()) < 0 \
+            or int(arr.max()) >= 2**64:
+        raise ValueError("stream path words must be integers in [0, 2^64)")
+    return arr.astype(np.uint64)
+
 
 class CommonRandomness:
     """Deterministic shared randomness, addressed by integer stream paths.
 
-    bits_consumed is a nominal display-only counter: 64 bits per uniform
-    double expanded from the seed, summed over every stream ever opened.
+    bits_consumed counts 64 bits for every uniform the coder and the data
+    samplers read: K per encoded target plus one selection draw, one per
+    decoded target, and every data draw. Encoder padding that a batch
+    generates past a row's own K is not counted, so a batch tallies exactly
+    what its rows would tally coded one at a time.
     """
 
     def __init__(self, seed: int, generator_id: str = GENERATOR_ID):
         if generator_id != GENERATOR_ID:
             raise ValueError(f"unknown generator_id {generator_id!r}")
-        self.seed = int(seed)
+        seed = int(seed)
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed {seed} outside [0, 2^64)")
+        self.seed = seed
         self.generator_id = generator_id
         self.bits_consumed = 0
 
+    def _key(self, domain: int, width: int) -> np.ndarray:
+        return np.array([[self.seed], [domain | width << 32]], dtype=np.uint64)
+
     def _stream(self, domain: int, path: tuple[int, ...]) -> np.random.Generator:
-        ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(domain, *path))
-        return np.random.Generator(np.random.Philox(ss))
+        words = _as_paths([path])[0]
+        counter = np.zeros(4, dtype=np.uint64)
+        counter[1:1 + len(words)] = words
+        key = self._key(domain, len(words))[:, 0]
+        return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
     def candidate_stream(self, *path: int) -> np.random.Generator:
         return self._stream(_DOMAIN_CANDIDATES, path)
@@ -65,8 +146,41 @@ class CommonRandomness:
     def data_stream(self, *path: int) -> np.random.Generator:
         return self._stream(_DOMAIN_DATA, path)
 
-    def aux_stream(self, *path: int) -> np.random.Generator:
-        return self._stream(_DOMAIN_AUX, path)
+    def _blocks(self, domain: int, paths: np.ndarray, rows: np.ndarray,
+                blocks: np.ndarray) -> np.ndarray:
+        """Uniforms (N, 4) of block blocks[i] of stream paths[rows[i]]."""
+        key = self._key(domain, paths.shape[1])
+        out = np.empty((len(rows), 4))
+        step = _CHUNK // 4
+        for lo in range(0, len(rows), step):
+            r, b = rows[lo:lo + step], blocks[lo:lo + step]
+            ctr = np.zeros((4, len(r)), dtype=np.uint64)
+            ctr[0] = b + 1
+            ctr[1:1 + paths.shape[1]] = paths[r].T
+            words = _philox4x64(key, ctr) >> np.uint64(11)
+            out[lo:lo + step] = words.T * (1.0 / 2**53)
+        return out
+
+    def _uniforms(self, domain: int, paths: np.ndarray, n: int) -> np.ndarray:
+        """(B, n) array whose row b is uniforms 0..n-1 of stream paths[b]."""
+        n_rows, n_blocks = len(paths), -(-n // 4)
+        rows = np.repeat(np.arange(n_rows), n_blocks)
+        blocks = np.tile(np.arange(n_blocks), n_rows)
+        return self._blocks(domain, paths, rows, blocks).reshape(
+            n_rows, 4 * n_blocks)[:, :n]
+
+    def _uniforms_at(self, domain: int, paths: np.ndarray,
+                     j: np.ndarray) -> np.ndarray:
+        """Uniform j[b, i] of stream paths[b], for a (B, m) position array."""
+        j = np.asarray(j, dtype=np.int64)
+        flat = j.ravel()
+        rows = np.repeat(np.arange(len(paths)), j.shape[1])
+        u = self._blocks(domain, paths, rows, flat // 4)
+        return u[np.arange(len(flat)), flat % 4].reshape(j.shape)
+
+    def data_uniforms(self, paths, n: int) -> np.ndarray:
+        """Uniforms 0..n-1 of each data stream paths[b], as a (B, n) array."""
+        return self._uniforms(_DOMAIN_DATA, _as_paths(paths), n)
 
     def tally(self, n_draws: int):
         self.bits_consumed += 64 * int(n_draws)
@@ -102,47 +216,137 @@ class CodeRecord:
             )
 
 
+@dataclass(frozen=True)
+class CodedBatch:
+    """Encoder output for B targets, one entry per row."""
+
+    index: np.ndarray
+    sample: np.ndarray
+    fallback: np.ndarray
+    n_candidates: np.ndarray
+
+
+def _select(weights: np.ndarray, u: np.ndarray, k: np.ndarray):
+    """Selected candidate and fallback flag of each row of a weight block.
+
+    Row b picks i with probability weights[b, i] / total_b, by inverse CDF
+    on u[b]; a row whose weights are all zero falls back to the uniform
+    index floor(u[b] * k[b]). Columns at or past k[b] must carry zero weight.
+    """
+    cum = np.cumsum(weights, axis=1)
+    total = cum[:, -1]
+    fallback = total == 0.0
+    picked = np.count_nonzero(cum <= (u * total)[:, None], axis=1)
+    index = np.where(fallback, (u * k).astype(np.int64), picked)
+    return np.minimum(index, k - 1), fallback
+
+
+def _row_chunks(k: np.ndarray):
+    """Row groups in increasing K, each at most _CHUNK masked uniforms.
+
+    A group of m rows whose largest count is K spans m * K uniforms; a row
+    whose K alone exceeds the chunk forms a group of its own.
+    """
+    order = np.argsort(k, kind="stable")
+    ks = k[order]
+    start = 0
+    while start < len(ks):
+        window = ks[start:start + _CHUNK]
+        span = window * np.arange(1, len(window) + 1)
+        stop = start + max(1, int(np.searchsorted(span, _CHUNK, side="right")))
+        yield order[start:stop]
+        start = stop
+
+
+def _batch_args(n_candidates, paths, n_rows: int):
+    k = np.asarray(n_candidates, dtype=np.int64).reshape(-1)
+    paths = _as_paths(paths)
+    if len(k) != n_rows or len(paths) != n_rows:
+        raise ValueError(
+            f"{n_rows} rows but {len(k)} candidate counts and {len(paths)} paths"
+        )
+    if np.any(k < 1):
+        raise ValueError("need at least one candidate")
+    return k, paths
+
+
+def encode_batch(Q, p: Distribution, n_candidates, cr: CommonRandomness,
+                 paths) -> CodedBatch:
+    """Encode row b of Q with n_candidates[b] proposals on stream paths[b].
+
+    Rows are coded in chunks of similar K: one kernel call draws a masked
+    candidate block for the chunk, and one selection uniform per row picks
+    a candidate in proportion to q/p. Every row must be absolutely
+    continuous w.r.t. the prior.
+    """
+    Q = np.asarray(Q, dtype=float)
+    if Q.ndim != 2 or Q.shape[1] != len(p):
+        raise ValueError(f"targets of shape {Q.shape}, prior over {len(p)} symbols")
+    k, paths = _batch_args(n_candidates, paths, len(Q))
+    if np.any((Q > 0) & (p.probs == 0)):
+        raise SupportViolationError("a target puts mass outside the prior's support")
+    index = np.empty(len(Q), dtype=np.int64)
+    sample = np.empty(len(Q), dtype=np.int64)
+    fallback = np.empty(len(Q), dtype=bool)
+    u_sel = cr._uniforms(_DOMAIN_SELECTION, paths, 1)[:, 0]
+    for rows in _row_chunks(k):
+        kr = k[rows]
+        u = cr._uniforms(_DOMAIN_CANDIDATES, paths[rows], int(kr[-1]))
+        cands = inverse_cdf_sample(p.probs, u)
+        weights = Q[rows[:, None], cands] / p.probs[cands]
+        weights[np.arange(u.shape[1]) >= kr[:, None]] = 0.0
+        idx, fb = _select(weights, u_sel[rows], kr)
+        index[rows] = idx
+        sample[rows] = cands[np.arange(len(rows)), idx]
+        fallback[rows] = fb
+    cr.tally(int(k.sum()) + len(k))
+    return CodedBatch(index=index, sample=sample, fallback=fallback,
+                      n_candidates=k)
+
+
+def decode_batch(index, p: Distribution, n_candidates, cr: CommonRandomness,
+                 paths) -> np.ndarray:
+    """Regenerate candidate index[b] of stream paths[b] from the shared seed.
+
+    Uses nothing the encoder computed: the counter-addressed stream gives
+    direct access to the indexed proposal, so one uniform is drawn per row.
+    """
+    index = np.asarray(index, dtype=np.int64).reshape(-1)
+    k, paths = _batch_args(n_candidates, paths, len(index))
+    if np.any((index < 0) | (index >= k)):
+        raise ValueError("an index falls outside [0, K)")
+    u = cr._uniforms_at(_DOMAIN_CANDIDATES, paths, index[:, None])[:, 0]
+    cr.tally(len(index))
+    return inverse_cdf_sample(p.probs, u)
+
+
 def encode_mrc(q: Distribution, p: Distribution, cr: CommonRandomness,
                n_candidates: int, stream: tuple[int, ...] = ()) -> CodeRecord:
     """Select one of n_candidates proposals from p in proportion to q/p.
 
-    The target must be absolutely continuous w.r.t. the prior (checked via
-    the KL computation). When every drawn candidate has zero target mass the
-    encoder falls back to a uniform index and flags the record.
+    The batch-of-one case of encode_batch. The target must be absolutely
+    continuous w.r.t. the prior (checked via the KL computation). When every
+    drawn candidate has zero target mass the encoder falls back to a uniform
+    index and flags the record.
     """
     if n_candidates < 1:
         raise ValueError("need at least one candidate")
     target_kl = kl_divergence(q, p)
-    gen = cr.candidate_stream(*stream)
-    u = gen.random(n_candidates)
-    cr.tally(n_candidates)
-    cands = inverse_cdf_sample(p.probs, u)
-    weights = q.probs[cands] / p.probs[cands]
-    total = weights.sum()
-    sel = cr.selection_stream(*stream)
-    u_sel = sel.random()
-    cr.tally(1)
-    if total > 0:
-        sel_probs = weights / total
-        index = int(inverse_cdf_sample(sel_probs, np.array([u_sel]))[0])
-        fallback = False
-    else:
-        index = min(int(u_sel * n_candidates), n_candidates - 1)
-        fallback = True
+    out = encode_batch(q.probs[None, :], p, [n_candidates], cr, [stream])
     return CodeRecord(
-        index=index,
+        index=int(out.index[0]),
         index_bits=math.log2(n_candidates),
-        sample=int(cands[index]),
+        sample=int(out.sample[0]),
         target_kl=target_kl,
         n_candidates=n_candidates,
-        fallback=fallback,
+        fallback=bool(out.fallback[0]),
     )
 
 
 def decode_mrc(record, p: Distribution, cr: CommonRandomness,
                n_candidates: int | None = None,
                stream: tuple[int, ...] = ()) -> int:
-    """Replay the proposal stream and return the indexed candidate.
+    """Regenerate the indexed proposal; the batch-of-one decode_batch.
 
     Accepts either a CodeRecord or a bare index. A candidate count that
     disagrees with the record's is an error: the replayed proposals would
@@ -162,11 +366,7 @@ def decode_mrc(record, p: Distribution, cr: CommonRandomness,
             raise ValueError("decoding a bare index needs n_candidates")
     if not (0 <= index < n_candidates):
         raise ValueError(f"index {index} outside [0, {n_candidates})")
-    gen = cr.candidate_stream(*stream)
-    u = gen.random(n_candidates)
-    cr.tally(n_candidates)
-    cands = inverse_cdf_sample(p.probs, u)
-    return int(cands[index])
+    return int(decode_batch([index], p, [n_candidates], cr, [stream])[0])
 
 
 def _compositions(total: int, parts: int):
@@ -255,9 +455,41 @@ class CodedSequence:
     mode: str
 
 
-def _block_candidates(gen, prior: Distribution, k: int, n: int) -> np.ndarray:
-    u = gen.random((k, n))
-    return inverse_cdf_sample(prior.probs, u.ravel()).reshape(k, n)
+def _distinct_targets(posterior: Posterior, prior: Distribution, datasets):
+    """Target rows and KL (bits) of the distinct datasets, and each entry's slot.
+
+    Rows are cleaned as Distributions and their divergence from the prior is
+    computed once per distinct dataset, however often it recurs.
+    """
+    datasets = np.asarray(datasets, dtype=np.int64)
+    distinct, slot = np.unique(datasets, return_inverse=True)
+    rows = np.array([Distribution(posterior.rows[s]).probs for s in distinct])
+    rows = rows.reshape(len(distinct), len(prior))
+    kl = np.array([kl_divergence(r, prior) for r in rows])
+    return rows, kl, slot.reshape(datasets.shape)
+
+
+def code_per_symbol(posterior: Posterior, prior: Distribution, datasets,
+                    cr: CommonRandomness, trials,
+                    slack: float = DEFAULT_SLACK,
+                    candidate_cap: int = DEFAULT_CANDIDATE_CAP):
+    """Per-symbol code a (T, n) block of dataset sequences in one batch.
+
+    Position i of row t codes posterior.rows[datasets[t, i]] with
+    K = ceil(2^(kl + slack)) candidates on stream path (trials[t], i), and is
+    decoded from the shared seed alone. Returns the trial-major CodedBatch,
+    the decoded (T, n) hypotheses and the (T, n) divergences in bits.
+    """
+    datasets = np.asarray(datasets, dtype=np.int64)
+    n_trials, n = datasets.shape
+    rows, kl, slot = _distinct_targets(posterior, prior, datasets)
+    k = np.array([candidate_count(x, slack, candidate_cap) for x in kl],
+                 dtype=np.int64)[slot].ravel()
+    paths = np.column_stack([np.repeat(np.asarray(trials, dtype=np.int64), n),
+                             np.tile(np.arange(n), n_trials)])
+    batch = encode_batch(rows[slot.ravel()], prior, k, cr, paths)
+    recon = decode_batch(batch.index, prior, k, cr, paths)
+    return batch, recon.reshape(n_trials, n), kl[slot]
 
 
 def code_sequence(posterior: Posterior, prior: Distribution, dataset_seq,
@@ -267,62 +499,55 @@ def code_sequence(posterior: Posterior, prior: Distribution, dataset_seq,
                   block_cap: int = DEFAULT_BLOCK_CAP) -> CodedSequence:
     """Code the belief for each dataset in the sequence.
 
-    per_symbol codes each position alone with K_i = ceil(2^(kl_i + slack));
-    block draws whole candidate tuples against the product prior and sends a
-    single index. Position i uses stream path (trial, i); block mode uses
-    (trial, 0), which makes a length-1 block coincide exactly with
-    per_symbol coding.
+    per_symbol codes each position alone with K_i = ceil(2^(kl_i + slack)),
+    all positions in one batch; block draws whole candidate tuples against
+    the product prior and sends a single index. Position i uses stream path
+    (trial, i); block mode reads its K*n candidate uniforms from (trial, 0),
+    which makes a length-1 block coincide exactly with per_symbol coding.
     """
-    seq = [int(s) for s in dataset_seq]
-    rows = [Distribution(posterior.rows[s]) for s in seq]
+    seq = np.array([int(s) for s in dataset_seq], dtype=np.int64)
     if mode == "per_symbol":
-        records = []
-        recon = np.empty(len(seq), dtype=int)
-        total = 0.0
-        for i, row in enumerate(rows):
-            kl = kl_divergence(row, prior)
-            k = candidate_count(kl, slack, candidate_cap)
-            rec = encode_mrc(row, prior, cr, k, stream=(trial, i))
-            recon[i] = decode_mrc(rec, prior, cr, stream=(trial, i))
-            records.append(rec)
-            total += rec.index_bits
-        return CodedSequence(tuple(records), total, recon, mode)
+        batch, recon, kl = code_per_symbol(posterior, prior, seq[None, :], cr,
+                                           [trial], slack, candidate_cap)
+        records = tuple(
+            CodeRecord(index=i, index_bits=math.log2(k), sample=smp,
+                       target_kl=d, n_candidates=k, fallback=fb)
+            for i, smp, d, k, fb in zip(
+                batch.index.tolist(), batch.sample.tolist(), kl[0].tolist(),
+                batch.n_candidates.tolist(), batch.fallback.tolist())
+        )
+        total = sum((r.index_bits for r in records), 0.0)
+        return CodedSequence(records, total, recon[0], mode)
     if mode == "block":
-        kls = [kl_divergence(row, prior) for row in rows]
-        total_kl = float(sum(kls))
+        rows, kl, slot = _distinct_targets(posterior, prior, seq)
+        n = len(seq)
+        total_kl = float(sum(kl[slot].tolist()))
         k = math.ceil(2.0 ** (total_kl + slack))
         if k > block_cap:
             raise EnumerationCapError(
                 f"block candidate count {k} exceeds cap {block_cap}"
             )
         k = max(k, 1)
-        gen = cr.candidate_stream(trial, 0)
-        cands = _block_candidates(gen, prior, k, len(seq))
-        cr.tally(k * len(seq))
-        row_mat = np.stack([r.probs for r in rows])  # (n, H)
-        num = np.prod(row_mat[np.arange(len(seq))[None, :], cands], axis=1)
+        path = _as_paths([(trial, 0)])
+        cands = inverse_cdf_sample(
+            prior.probs, cr._uniforms(_DOMAIN_CANDIDATES, path, k * n).reshape(k, n))
+        num = np.prod(rows[slot][np.arange(n)[None, :], cands], axis=1)
         den = np.prod(prior.probs[cands], axis=1)
         weights = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-        sel = cr.selection_stream(trial, 0)
-        u_sel = sel.random()
-        cr.tally(1)
-        total_w = weights.sum()
-        if total_w > 0:
-            index = int(inverse_cdf_sample(weights / total_w, np.array([u_sel]))[0])
-            fallback = False
-        else:
-            index = min(int(u_sel * k), k - 1)
-            fallback = True
+        u_sel = cr._uniforms(_DOMAIN_SELECTION, path, 1)[:, 0]
+        idx, fb = _select(weights[None, :], u_sel, np.array([k]))
+        cr.tally(k * n + 1)
+        index = int(idx[0])
         sample = cands[index].copy()
         rec = CodeRecord(
             index=index, index_bits=math.log2(k),
-            sample=sample if len(seq) > 1 else int(sample[0]),
-            target_kl=total_kl, n_candidates=k, fallback=fallback,
+            sample=sample if n > 1 else int(sample[0]),
+            target_kl=total_kl, n_candidates=k, fallback=bool(fb[0]),
         )
-        # decoder replay, same stream
-        gen2 = cr.candidate_stream(trial, 0)
-        cands2 = _block_candidates(gen2, prior, k, len(seq))
-        cr.tally(k * len(seq))
-        recon = cands2[index].copy()
+        # decoder: regenerate the indexed tuple from the shared seed
+        u_dec = cr._uniforms_at(_DOMAIN_CANDIDATES, path,
+                                index * n + np.arange(n)[None, :])
+        cr.tally(n)
+        recon = inverse_cdf_sample(prior.probs, u_dec[0])
         return CodedSequence((rec,), math.log2(k), recon, mode)
     raise ValueError(f"unknown mode {mode!r}")

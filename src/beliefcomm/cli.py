@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .channel_coding import CommonRandomness, code_sequence, encode_mrc, \
+from .channel_coding import CommonRandomness, code_sequence, encode_batch, \
     induced_distribution_exact, inverse_cdf_sample
 from .coordination import (
     d_avg_seq,
@@ -105,7 +105,7 @@ def _load_config(args) -> dict:
         if not isinstance(cfg, dict):
             raise ConfigError("/", "config must be a JSON object")
     for key in ("seed", "n", "trials", "slack", "mode", "prior", "rate_budget",
-                "instances", "c_harsha", "tv_trials"):
+                "instances", "tv_trials"):
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
             cfg[key] = val
@@ -144,6 +144,8 @@ def _get_seed(cfg) -> int:
     seed = cfg.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError("/seed", "seed must be an integer")
+    if not 0 <= seed < 2**64:
+        raise ConfigError("/seed", f"seed {seed} outside [0, 2^64)")
     return seed
 
 
@@ -236,29 +238,41 @@ def _cmd_code(args, outdir: Path) -> int:
     tv_trials = int(cfg.get("tv_trials", 512))
     cr = CommonRandomness(seed)
     s_seq = inverse_cdf_sample(instance.p_s, cr.data_stream(0).random(n))
+    cr.tally(n)
     coded = code_sequence(q_alice, prior, s_seq, cr, mode=mode, slack=slack)
-    rows, oracle_rows = [], []
-    for i, s in enumerate(s_seq):
-        row_dist = Distribution(q_alice.rows[s])
-        kl = kl_divergence(row_dist, prior)
-        rec = coded.records[i if mode == "per_symbol" else 0]
+    recs = [coded.records[i if mode == "per_symbol" else 0] for i in range(n)]
+    row_dists = [Distribution(q_alice.rows[s]) for s in s_seq]
+    tvs, oracle_rows = {}, []
+    for i, (row_dist, rec) in enumerate(zip(row_dists, recs)):
         k = rec.n_candidates
         try:
             induced = induced_distribution_exact(row_dist, prior, k)
-            tv = total_variation(induced, row_dist)
-            if args.with_oracle and len(prior) ** k <= 4096:
-                ref = mrc_enumeration_oracle(row_dist, prior, k)
-                diff = total_variation(induced, ref)
-                oracle_rows.append(("mrc_induced", f"position={i}", tv,
-                                    total_variation(ref, row_dist), diff,
-                                    diff <= 1e-12))
         except EnumerationCapError:
-            hits = np.zeros(len(prior))
-            for j in range(tv_trials):
-                r = encode_mrc(row_dist, prior, cr, k, stream=(10**6 + j, i))
-                hits[r.sample] += 1
-            tv = total_variation(hits / tv_trials, row_dist)
-        rows.append((i, kl, k, rec.index_bits, tv, rec.fallback))
+            continue
+        tvs[i] = total_variation(induced, row_dist)
+        if args.with_oracle and len(prior) ** k <= 4096:
+            ref = mrc_enumeration_oracle(row_dist, prior, k)
+            diff = total_variation(induced, ref)
+            oracle_rows.append(("mrc_induced", f"position={i}", tvs[i],
+                                total_variation(ref, row_dist), diff,
+                                diff <= 1e-12))
+    # Monte Carlo estimate where the exact law is out of reach: trial j of
+    # position i on stream (10**6 + j, i), all of them in one batch
+    mc = np.array([i for i in range(n) if i not in tvs], dtype=np.int64)
+    if len(mc):
+        pos = np.tile(mc, tv_trials)
+        paths = np.column_stack([10**6 + np.repeat(np.arange(tv_trials), len(mc)),
+                                 pos])
+        q_rows = np.array([row_dists[i].probs for i in mc])
+        k = np.array([recs[i].n_candidates for i in mc])
+        est = encode_batch(np.tile(q_rows, (tv_trials, 1)), prior,
+                           np.tile(k, tv_trials), cr, paths)
+        hits = np.zeros((n, len(prior)))
+        np.add.at(hits, (pos, est.sample), 1.0)
+        for i in mc.tolist():
+            tvs[i] = total_variation(hits[i] / tv_trials, row_dists[i])
+    rows = [(i, kl_divergence(row_dists[i], prior), rec.n_candidates,
+             rec.index_bits, tvs[i], rec.fallback) for i, rec in enumerate(recs)]
     _write_csv(outdir / "code.csv",
                ["position", "kl_bits", "K", "index_bits",
                 "tv_exact_or_estimate", "flagged_fallback"], rows)

@@ -22,13 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_coding import CommonRandomness, code_sequence, inverse_cdf_sample
+from .channel_coding import CommonRandomness, code_per_symbol, inverse_cdf_sample
 from .errors import NormalizationError, SupportViolationError
 from .learning import Posterior, d_sem, d_sem_rows
 from .spaces import ProblemInstance, total_variation
 from .worlds import two_hypothesis_world
 
 ONE_HOT_TOL = 1e-12
+# symbols coded per batch call in simulate_strong; bounds its working set
+TRIAL_BLOCK_SYMBOLS = 2**11
 
 
 @dataclass(frozen=True)
@@ -200,6 +202,9 @@ def simulate_strong(instance: ProblemInstance, q_target: Posterior, n: int,
     row against the target's own marginal as prior, and decodes. The
     receiver's per-position conditional law is estimated across trials and
     compared to the target in semantic distortion and total variation.
+    Trial t reads its datasets from data stream (t,) and codes position i on
+    path (t, i); whole blocks of trials, up to TRIAL_BLOCK_SYMBOLS symbols,
+    go through the coder in one batch.
     """
     prior = q_target.marginal
     for s in np.flatnonzero(instance.p_s > 0):
@@ -212,50 +217,51 @@ def simulate_strong(instance: ProblemInstance, q_target: Posterior, n: int,
     counts = np.zeros((n, n_s, n_h))
     bits_total = 0.0
     trace = None
-    for t in range(trials):
-        data_rng = cr.data_stream(t)
-        s_seq = inverse_cdf_sample(instance.p_s, data_rng.random(n))
-        cr.tally(n)
-        coded = code_sequence(q_target, prior, s_seq, cr, mode="per_symbol",
-                              slack=slack, trial=t)
-        bits_total += coded.total_bits
-        for i in range(n):
-            counts[i, s_seq[i], coded.reconstruction[i]] += 1.0
-        if t == 0:
+    positions = np.arange(n)
+    step = max(1, TRIAL_BLOCK_SYMBOLS // max(n, 1))
+    for first in range(0, trials, step):
+        block = np.arange(first, min(first + step, trials))
+        s_seq = inverse_cdf_sample(instance.p_s,
+                                   cr.data_uniforms(block[:, None], n))
+        cr.tally(s_seq.size)
+        batch, recon, _ = code_per_symbol(q_target, prior, s_seq, cr, block,
+                                          slack=slack)
+        np.add.at(counts, (np.broadcast_to(positions, s_seq.shape), s_seq,
+                           recon), 1.0)
+        bits = np.log2(batch.n_candidates)
+        bits_total += float(bits.sum())
+        if first == 0:
             trace = SequenceTrace(
                 n=n,
-                datasets=tuple(int(s) for s in s_seq),
-                alice_rows=q_target.rows[s_seq],
+                datasets=tuple(s_seq[0].tolist()),
+                alice_rows=q_target.rows[s_seq[0]],
                 bob_rows=np.zeros((n, n_h)),  # re-filled below from estimates
-                joint_type=joint_type_from_pairs(
-                    s_seq, coded.reconstruction, n_s, n_h
-                ),
-                bits_used=coded.total_bits,
+                joint_type=joint_type_from_pairs(s_seq[0], recon[0], n_s, n_h),
+                bits_used=float(bits[:n].sum()),
                 cr_bits=0,
             )
 
     cell_totals = counts.sum(axis=2)  # (n, n_s)
-    rows_est = np.empty((n, n_s, n_h))
-    for i in range(n):
-        for s in range(n_s):
-            if cell_totals[i, s] > 0:
-                rows_est[i, s] = counts[i, s] / cell_totals[i, s]
-            else:
-                rows_est[i, s] = prior.probs
+    seen = cell_totals > 0
+    rows_est = np.where(seen[..., None],
+                        counts / np.where(seen, cell_totals, 1.0)[..., None],
+                        prior.probs)
 
     dmat = instance.dataset_space.posterior @ instance.true_loss_table
     p_s = instance.p_s
-    d_by_pos = np.empty(n)
-    var_by_pos = np.zeros(n)
-    for i in range(n):
-        d_by_pos[i] = d_sem(q_target, Posterior.from_rows(rows_est[i], instance),
-                            instance)
-        for s in range(n_s):
-            if p_s[s] > 0 and cell_totals[i, s] > 0:
-                mean_d = float(rows_est[i, s] @ dmat[s])
-                mean_d2 = float(rows_est[i, s] @ dmat[s] ** 2)
-                var_by_pos[i] += p_s[s] ** 2 * max(mean_d2 - mean_d**2, 0.0) \
-                    / cell_totals[i, s]
+    d_by_pos = np.array([
+        d_sem(q_target, Posterior.from_rows(rows_est[i], instance), instance)
+        for i in range(n)
+    ])
+    mean_d = (rows_est * dmat).sum(axis=2)
+    mean_d2 = (rows_est * dmat**2).sum(axis=2)
+    live = seen & (p_s > 0)
+    var_by_pos = np.where(
+        live,
+        p_s**2 * np.maximum(mean_d2 - mean_d**2, 0.0)
+        / np.where(live, cell_totals, 1.0),
+        0.0,
+    ).sum(axis=1)
 
     d_avg_est = float(d_by_pos.mean())
     se_avg = math.sqrt(float(var_by_pos.sum())) / n
@@ -263,10 +269,8 @@ def simulate_strong(instance: ProblemInstance, q_target: Posterior, n: int,
     d_max_est = float(d_by_pos[i_max])
     se_max = math.sqrt(var_by_pos[i_max])
 
-    tv_max = 0.0
-    for i in range(n):
-        for s in np.flatnonzero(p_s > 0):
-            tv_max = max(tv_max, total_variation(rows_est[i, s], q_target.rows[s]))
+    tv_by_cell = 0.5 * np.abs(rows_est - q_target.rows).sum(axis=2)
+    tv_max = float(tv_by_cell[:, p_s > 0].max(initial=0.0))
 
     bob_marg = counts.sum(axis=1)
     bob_marg /= bob_marg.sum(axis=1, keepdims=True)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beliefcomm import (
     CodeRecord,
@@ -22,7 +23,16 @@ from beliefcomm import (
     single_shot_bounds,
     two_hypothesis_world,
 )
-from beliefcomm.channel_coding import inverse_cdf_sample
+from beliefcomm.channel_coding import (
+    _CHUNK,
+    _DOMAIN_CANDIDATES,
+    _DOMAIN_DATA,
+    _DOMAIN_SELECTION,
+    _as_paths,
+    decode_batch,
+    encode_batch,
+    inverse_cdf_sample,
+)
 from beliefcomm.errors import EnumerationCapError
 
 
@@ -215,3 +225,151 @@ def test_tally_counts_every_draw():
     encode_mrc(Distribution([0.9, 0.1]), Distribution([0.5, 0.5]), cr, 4,
                stream=(0,))
     assert cr.bits_consumed == 64 * 5
+
+
+def test_seed_outside_64_bit_range_is_rejected():
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError):
+            CommonRandomness(seed)
+    assert CommonRandomness(2**64 - 1).seed == 2**64 - 1
+
+
+def test_stream_paths_are_validated():
+    for bad in ([(-1,)], [(2**64,)], [(1.5,)], [(1, 2, 3, 4)], [(1, 2), (3,)]):
+        with pytest.raises(ValueError):
+            _as_paths(bad)
+    with pytest.raises(ValueError):
+        CommonRandomness(0).candidate_stream(1, 2, 3, 4)
+
+
+# property tests: each batched fast path against the slow path it replaces
+
+_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60)
+_WORD = st.integers(0, 2**64 - 1)
+_DOMAINS = st.sampled_from([_DOMAIN_CANDIDATES, _DOMAIN_SELECTION, _DOMAIN_DATA])
+
+
+def _contract_stream(seed, domain, path):
+    """Stream (domain, path) of the v2 contract, built from its definition."""
+    key = np.array([seed, domain | len(path) << 32], dtype=np.uint64)
+    counter = np.array([0, *path] + [0] * (3 - len(path)), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def test_stream_accessors_follow_the_contract():
+    cr = CommonRandomness(2**64 - 2)
+    for domain, stream in ((_DOMAIN_CANDIDATES, cr.candidate_stream),
+                           (_DOMAIN_SELECTION, cr.selection_stream),
+                           (_DOMAIN_DATA, cr.data_stream)):
+        for path in ((), (3,), (2**64 - 1, 0), (1, 2**63, 7)):
+            np.testing.assert_array_equal(
+                stream(*path).random(9),
+                _contract_stream(cr.seed, domain, path).random(9))
+
+
+@_SETTINGS
+@given(seed=_WORD, domain=_DOMAINS,
+       paths=st.integers(1, 3).flatmap(
+           lambda width: st.lists(st.tuples(*[_WORD] * width),
+                                  min_size=1, max_size=3)),
+       n=st.integers(1, 5000))
+def test_kernel_uniforms_match_keyed_philox(seed, domain, paths, n):
+    """Kernel blocks equal the keyed np.random.Philox stream, draw for draw."""
+    cr = CommonRandomness(seed)
+    got = cr._uniforms(domain, _as_paths(paths), n)
+    for row, path in zip(got, paths):
+        ref = _contract_stream(seed, domain, path).random(n)
+        np.testing.assert_array_equal(row, ref)
+    j = np.array([[0, n - 1, n // 3]] * len(paths))
+    at = cr._uniforms_at(domain, _as_paths(paths), j)
+    np.testing.assert_array_equal(at, got[:, [0, n - 1, n // 3]])
+
+
+def test_kernel_uniforms_across_chunk_boundaries():
+    """Batches and single streams longer than one kernel chunk stay exact."""
+    cr = CommonRandomness(2**63 + 5)
+    paths = [(t, 2**64 - 1 - t) for t in range(20)]
+    n = 4001  # 20 rows x 4001 draws span two chunks, and 4001 % 4 != 0
+    got = cr._uniforms(_DOMAIN_CANDIDATES, _as_paths(paths), n)
+    for row, path in zip(got, paths):
+        np.testing.assert_array_equal(
+            row, _contract_stream(cr.seed, _DOMAIN_CANDIDATES, path).random(n))
+    long = cr._uniforms(_DOMAIN_DATA, _as_paths([(7,)]), _CHUNK + 3)[0]
+    np.testing.assert_array_equal(
+        long, _contract_stream(cr.seed, _DOMAIN_DATA, (7,)).random(_CHUNK + 3))
+
+
+@st.composite
+def _coding_batches(draw):
+    """Prior, targets (absolutely continuous, often with dead cells), K, paths."""
+    n_h = draw(st.integers(2, 4))
+    p = np.array(draw(st.lists(st.integers(0, 6), min_size=n_h, max_size=n_h)),
+                 dtype=float)
+    if p.sum() == 0:
+        p[0] = 1.0
+    n_rows = draw(st.integers(1, 12))
+    q_rows, ks = [], []
+    for _ in range(n_rows):
+        w = np.array(draw(st.lists(st.integers(0, 6), min_size=n_h,
+                                   max_size=n_h)), dtype=float) * (p > 0)
+        if w.sum() == 0:
+            w[np.argmax(p)] = 1.0
+        q_rows.append(w / w.sum())
+        ks.append(draw(st.sampled_from([1, 1, 2, 3, 7, 16, 33])))
+    paths = [(t, draw(st.integers(0, 2**64 - 1))) for t in range(n_rows)]
+    return Distribution(p / p.sum()), np.array(q_rows), ks, paths
+
+
+@_SETTINGS
+@given(seed=_WORD, case=_coding_batches())
+def test_batch_coder_matches_row_by_row(seed, case):
+    """encode_batch / decode_batch agree with batch-of-one coding per row,
+    a fresh decoder recovers every sample, and the tallies add up."""
+    p, q_rows, ks, paths = case
+    cr = CommonRandomness(seed)
+    enc = encode_batch(q_rows, p, ks, cr, paths)
+    dec = decode_batch(enc.index, p, ks, CommonRandomness(seed), paths)
+    np.testing.assert_array_equal(dec, enc.sample)
+    dec_same = decode_batch(enc.index, p, ks, cr, paths)
+    np.testing.assert_array_equal(dec_same, enc.sample)
+    one_by_one = 0
+    for b, (q, k, path) in enumerate(zip(q_rows, ks, paths)):
+        single = CommonRandomness(seed)
+        rec = encode_mrc(Distribution(q), p, single, k, stream=path)
+        assert (rec.index, rec.sample, rec.fallback, rec.n_candidates) == \
+            (enc.index[b], enc.sample[b], enc.fallback[b], enc.n_candidates[b])
+        assert decode_mrc(rec, p, single, stream=path) == dec[b]
+        one_by_one += single.bits_consumed
+    assert cr.bits_consumed == one_by_one
+
+
+def test_batch_coder_fallback_rows_match_row_by_row():
+    """All-zero-weight rows fall back to the same uniform index either way."""
+    q = np.array([1.0, 0.0])
+    p = Distribution([0.5, 0.5])
+    paths = [(t, 3) for t in range(64)]
+    enc = encode_batch(np.tile(q, (64, 1)), p, [1] * 64, CommonRandomness(3),
+                       paths)
+    assert enc.fallback.any() and not enc.fallback.all()
+    for b, path in enumerate(paths):
+        rec = encode_mrc(Distribution(q), p, CommonRandomness(3), 1,
+                         stream=path)
+        assert (rec.index, rec.sample, rec.fallback) == \
+            (enc.index[b], enc.sample[b], enc.fallback[b])
+
+
+def test_batch_coder_across_chunks_matches_row_by_row():
+    """Rows of mixed K, spread over several encoder chunks, code as alone."""
+    p = Distribution([0.5, 0.3, 0.2])
+    q_rows = np.array([[0.1, 0.1, 0.8], [0.6, 0.4, 0.0], [0.0, 0.0, 1.0]])
+    n_rows = 2500
+    ks = np.array([1, 5, 40, 200])[np.arange(n_rows) % 4]
+    assert (ks.max() * n_rows) > 2 * _CHUNK
+    targets = q_rows[np.arange(n_rows) % 3]
+    paths = [(9, b) for b in range(n_rows)]
+    enc = encode_batch(targets, p, ks, CommonRandomness(21), paths)
+    for b in range(0, n_rows, 47):
+        rec = encode_mrc(Distribution(targets[b]), p, CommonRandomness(21),
+                         int(ks[b]), stream=paths[b])
+        assert (rec.index, rec.sample, rec.fallback) == \
+            (enc.index[b], enc.sample[b], enc.fallback[b])

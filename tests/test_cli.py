@@ -79,6 +79,19 @@ def test_coordinate_csv_contract(tmp_path, instance_file):
     assert row[0] == "3" and row[5] == "200"
 
 
+def test_code_and_coordinate_reruns_are_byte_identical(tmp_path, instance_file):
+    """Batched coding keeps the determinism contract for both coder commands."""
+    for argv, name in ((["code", "--n", "6", "--slack", "2"], "code.csv"),
+                       (["code", "--n", "4", "--mode", "block"], "code.csv"),
+                       (["coordinate", "--n", "3", "--trials", "300"],
+                        "coordinate.csv")):
+        outs = [tmp_path / f"{argv[0]}-{argv[-1]}-{run}" for run in "ab"]
+        for out in outs:
+            assert main(argv + ["--instance", instance_file, "--seed", "7",
+                                "--out", str(out)]) == 0
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_example1_rerun_is_byte_identical(tmp_path):
     """Same config and seed must reproduce every output file exactly."""
     a, b = tmp_path / "a", tmp_path / "b"
@@ -170,6 +183,15 @@ def test_flags_override_config_file(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 9
     assert [r[0] for r in _rows(out / "example1.csv")] == ["2", "4"]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bit_range_is_a_config_error(tmp_path, instance_file,
+                                                      seed):
+    out = tmp_path / "o"
+    assert main(["code", "--instance", instance_file, "--seed", str(seed),
+                 "--out", str(out)]) == 2
+    assert not (out / "code.csv").exists()
 
 
 def test_unknown_mode_in_config_is_rejected(tmp_path, instance_file):

@@ -10,8 +10,10 @@ from beliefcomm import (
     Posterior,
     SequenceTrace,
     alternating_schedule,
+    code_sequence,
     d_avg_seq,
     d_max_seq,
+    d_sem,
     d_sem_from_joint_type,
     fit,
     joint_type_from_pairs,
@@ -20,8 +22,11 @@ from beliefcomm import (
     sequence_distortion_oracle,
     simulate_empirical_deterministic,
     simulate_strong,
+    total_variation,
     two_hypothesis_world,
 )
+from beliefcomm.channel_coding import inverse_cdf_sample
+from beliefcomm.coordination import TRIAL_BLOCK_SYMBOLS
 from beliefcomm.errors import NormalizationError, SupportViolationError
 
 
@@ -161,3 +166,55 @@ def test_simulate_strong_rejects_unsupported_target():
     q = Posterior(rows=rows, marginal=Distribution([1.0, 0.0]))
     with pytest.raises(SupportViolationError):
         simulate_strong(inst, q, n=2, cr=CommonRandomness(0), trials=5)
+
+
+def _strong_by_trial_loop(inst, q, n, seed, trials, slack):
+    """simulate_strong's estimates the slow way: one coded trial at a time."""
+    cr = CommonRandomness(seed)
+    prior = q.marginal
+    counts = np.zeros((n, inst.n_datasets, inst.n_hypotheses))
+    bits = 0.0
+    for t in range(trials):
+        s_seq = inverse_cdf_sample(inst.p_s, cr.data_stream(t).random(n))
+        coded = code_sequence(q, prior, s_seq, cr, slack=slack, trial=t)
+        bits += coded.total_bits
+        for i in range(n):
+            counts[i, s_seq[i], coded.reconstruction[i]] += 1.0
+    dmat = inst.dataset_space.posterior @ inst.true_loss_table
+    d_by_pos, var_by_pos, tv_max = [], [], 0.0
+    for i in range(n):
+        rows = np.array([counts[i, s] / counts[i, s].sum()
+                         if counts[i, s].sum() > 0 else prior.probs
+                         for s in range(inst.n_datasets)])
+        d_by_pos.append(d_sem(q, Posterior.from_rows(rows, inst), inst))
+        var = 0.0
+        for s in range(inst.n_datasets):
+            total = counts[i, s].sum()
+            if inst.p_s[s] > 0 and total > 0:
+                m1, m2 = rows[s] @ dmat[s], rows[s] @ dmat[s] ** 2
+                var += inst.p_s[s] ** 2 * max(m2 - m1**2, 0.0) / total
+            if inst.p_s[s] > 0:
+                tv_max = max(tv_max, total_variation(rows[s], q.rows[s]))
+        var_by_pos.append(var)
+    return bits / (n * trials), d_by_pos, var_by_pos, tv_max
+
+
+def test_simulate_strong_matches_trial_by_trial_coding():
+    """The blocked, vectorised estimator equals per-trial code_sequence runs."""
+    rng = np.random.default_rng(11)
+    inst = random_instance(rng, n_concepts=3, n_symbols=3, n_hypotheses=3, m=1)
+    q = fit(LearningRule.gibbs(2.0), inst)
+    n = 3
+    trials = TRIAL_BLOCK_SYMBOLS // n + 7  # spans two batch blocks
+    rep = simulate_strong(inst, q, n=n, cr=CommonRandomness(4), trials=trials,
+                          slack=2.0)
+    bits, d_by_pos, var_by_pos, tv_max = _strong_by_trial_loop(
+        inst, q, n, 4, trials, 2.0)
+    i_max = int(np.argmax(d_by_pos))
+    assert rep.bits_per_symbol == pytest.approx(bits, rel=1e-12)
+    assert rep.d_avg_est == pytest.approx(np.mean(d_by_pos), abs=1e-12)
+    assert rep.d_max_est == pytest.approx(d_by_pos[i_max], abs=1e-12)
+    half_width = 1.96 * np.sqrt(var_by_pos[i_max])
+    assert rep.d_max_ci[1] - rep.d_max_est == pytest.approx(half_width,
+                                                            abs=1e-12)
+    assert rep.tv_max_position == pytest.approx(tv_max, abs=1e-12)
