@@ -421,17 +421,18 @@ class SingleShotBounds:
     theis_bits: float
 
 
-def single_shot_bounds(kl_bits: float, c_harsha: float = 0.0) -> SingleShotBounds:
+def single_shot_bounds(kl_bits: float) -> SingleShotBounds:
     """Classic one-shot rate bounds as a function of the target divergence.
 
     Lower bound is the divergence itself; the two upper forms are
-    kl + 2 log2(kl + 1) + c and kl + log2(kl + 1) + 4.
+    kl + 2 log2(kl + 1) (the Harsha et al. form with its constant at 0) and
+    kl + log2(kl + 1) + 4.
     """
     if kl_bits < 0:
         raise ValueError("divergence must be >= 0")
     return SingleShotBounds(
         kl_bits=kl_bits,
-        harsha_bits=kl_bits + 2.0 * math.log2(kl_bits + 1.0) + c_harsha,
+        harsha_bits=kl_bits + 2.0 * math.log2(kl_bits + 1.0),
         theis_bits=kl_bits + math.log2(kl_bits + 1.0) + 4.0,
     )
 

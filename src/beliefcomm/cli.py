@@ -42,7 +42,7 @@ from .oracle import (
     rd_grid_oracle,
     sequence_distortion_oracle,
 )
-from .rate_distortion import RDCurve, solve_rd, solve_rd_with_prior
+from .rate_distortion import rd_curve, solve_rd
 from .schemes import compare_schemes, enumerate_compressors, verify_bound
 from .spaces import (
     Distribution,
@@ -73,6 +73,16 @@ def _write_csv(path: Path, header, rows):
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(x) for x in row])
+
+
+def _write_checks(path: Path, rows) -> int:
+    """Write oracle agreement rows; the exit code says whether all held."""
+    _write_csv(path, ["check", "case", "value_solver", "value_oracle",
+                      "abs_diff", "ok"], rows)
+    if any(not r[-1] for r in rows):
+        print(f"oracle disagreement; see {path.name}", file=sys.stderr)
+        return VIOLATION_EXIT
+    return 0
 
 
 def _write_manifest(outdir: Path, command: str, cfg: dict):
@@ -192,18 +202,13 @@ def _cmd_rd_curve(args, outdir: Path) -> int:
     q_alice = fit(rule, instance)
     prior = _get_prior(cfg, q_alice, instance.n_hypotheses)
     epsilons = _epsilon_grid(cfg, instance.hypotheses.l_max)
-    points, prior_points, rows = [], [], []
-    for eps in epsilons:
-        pt = solve_rd(instance, q_alice, eps)
-        ppt = solve_rd_with_prior(instance, q_alice, eps, prior)
-        points.append(pt)
-        prior_points.append(ppt)
-        rows.append((eps, pt.rate, ppt.rate, pt.iterations, pt.duality_gap))
-    RDCurve(points=tuple(points))  # invariant check
-    RDCurve(points=tuple(prior_points))
+    points = rd_curve(instance, q_alice, epsilons).points
+    prior_points = rd_curve(instance, q_alice, epsilons, prior=prior).points
     _write_csv(outdir / "rd-curve.csv",
                ["epsilon", "rate_bits", "rate_with_prior_bits",
-                "converged_iters", "duality_gap"], rows)
+                "converged_iters", "duality_gap"],
+               [(pt.epsilon, pt.rate, ppt.rate, pt.iterations, pt.duality_gap)
+                for pt, ppt in zip(points, prior_points)])
     _write_manifest(outdir, "rd-curve", cfg)
     if args.with_oracle:
         checks = []
@@ -214,12 +219,7 @@ def _cmd_rd_curve(args, outdir: Path) -> int:
                 diff = abs(oracle_rate - pt.rate)
                 checks.append(("rd_grid", f"eps={_fmt(eps)}", pt.rate,
                                oracle_rate, diff, diff <= 1e-3))
-        _write_csv(outdir / "oracle_checks.csv",
-                   ["check", "case", "value_solver", "value_oracle",
-                    "abs_diff", "ok"], checks)
-        if any(not c[-1] for c in checks):
-            print("oracle check failed; see oracle_checks.csv", file=sys.stderr)
-            return VIOLATION_EXIT
+        return _write_checks(outdir / "oracle_checks.csv", checks)
     return 0
 
 
@@ -242,20 +242,31 @@ def _cmd_code(args, outdir: Path) -> int:
     coded = code_sequence(q_alice, prior, s_seq, cr, mode=mode, slack=slack)
     recs = [coded.records[i if mode == "per_symbol" else 0] for i in range(n)]
     row_dists = [Distribution(q_alice.rows[s]) for s in s_seq]
-    tvs, oracle_rows = {}, []
-    for i, (row_dist, rec) in enumerate(zip(row_dists, recs)):
-        k = rec.n_candidates
+
+    def exact_law(row_dist, k):
+        """TV of the exact induced law, plus its oracle check; None past the cap."""
         try:
             induced = induced_distribution_exact(row_dist, prior, k)
         except EnumerationCapError:
-            continue
-        tvs[i] = total_variation(induced, row_dist)
+            return None
+        tv, check = total_variation(induced, row_dist), None
         if args.with_oracle and len(prior) ** k <= 4096:
             ref = mrc_enumeration_oracle(row_dist, prior, k)
             diff = total_variation(induced, ref)
-            oracle_rows.append(("mrc_induced", f"position={i}", tvs[i],
-                                total_variation(ref, row_dist), diff,
-                                diff <= 1e-12))
+            check = (total_variation(ref, row_dist), diff, diff <= 1e-12)
+        return tv, check
+
+    # positions that share a dataset and K share one law
+    laws, tvs, oracle_rows = {}, {}, []
+    for i, (s, rec) in enumerate(zip(s_seq.tolist(), recs)):
+        key = (s, rec.n_candidates)
+        if key not in laws:
+            laws[key] = exact_law(row_dists[i], rec.n_candidates)
+        if laws[key] is None:
+            continue
+        tvs[i], check = laws[key]
+        if check is not None:
+            oracle_rows.append(("mrc_induced", f"position={i}", tvs[i], *check))
     # Monte Carlo estimate where the exact law is out of reach: trial j of
     # position i on stream (10**6 + j, i), all of them in one batch
     mc = np.array([i for i in range(n) if i not in tvs], dtype=np.int64)
@@ -278,11 +289,7 @@ def _cmd_code(args, outdir: Path) -> int:
                 "tv_exact_or_estimate", "flagged_fallback"], rows)
     _write_manifest(outdir, "code", cfg)
     if args.with_oracle:
-        _write_csv(outdir / "oracle_checks.csv",
-                   ["check", "case", "value_solver", "value_oracle",
-                    "abs_diff", "ok"], oracle_rows)
-        if any(not c[-1] for c in oracle_rows):
-            return VIOLATION_EXIT
+        return _write_checks(outdir / "oracle_checks.csv", oracle_rows)
     return 0
 
 
@@ -330,11 +337,7 @@ def _cmd_example1(args, outdir: Path) -> int:
                 "trials"], rows)
     _write_manifest(outdir, "example1", cfg)
     if args.with_oracle:
-        _write_csv(outdir / "oracle_checks.csv",
-                   ["check", "case", "value_solver", "value_oracle",
-                    "abs_diff", "ok"], oracle_rows)
-        if any(not c[-1] for c in oracle_rows):
-            return VIOLATION_EXIT
+        return _write_checks(outdir / "oracle_checks.csv", oracle_rows)
     return 0
 
 
@@ -489,14 +492,8 @@ def _cmd_audit(args, outdir: Path) -> int:
         rows.append(("sequence_distortion", f"case={i}", a_avg, o_avg, diff,
                      diff <= 1e-12))
 
-    _write_csv(outdir / "audit.csv",
-               ["check", "case", "value_solver", "value_oracle", "abs_diff",
-                "ok"], rows)
     _write_manifest(outdir, "audit", cfg)
-    if any(not r[-1] for r in rows):
-        print("audit found disagreements; see audit.csv", file=sys.stderr)
-        return VIOLATION_EXIT
-    return 0
+    return _write_checks(outdir / "audit.csv", rows)
 
 
 # ---------------------------------------------------------------------------

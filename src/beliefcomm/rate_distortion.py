@@ -1,18 +1,20 @@
 """Rate-distortion solvers for semantic distortion budgets.
 
-Two related convex programs over receiver rows q(h|s):
+Two views of one convex program over receiver rows q(h|s), both minimizing
+an expected divergence E_S[D(q(.|s) || r)] subject to semantic distortion
+<= eps:
 
-* solve_rd: minimize mutual information I(S;H) subject to semantic
-  distortion <= eps. Inner loop is Blahut-style alternating minimization of
-  the slope-Lagrangian; the outer loop bisects the slope to land on the
-  distortion budget.
+* solve_rd: r is the output marginal, so the rate is the mutual information
+  I(S;H) = min_r E_S D(q(.|s) || r). Its inner solve is Blahut-style
+  alternating minimization of the slope-Lagrangian.
 
-* solve_rd_with_prior: minimize the expected coding divergence
-  E_S[D(q(.|s) || prior)] under the same constraint. Freezing the output
-  marginal to the prior makes the inner minimization closed-form, so each
-  slope is solved exactly.
+* solve_rd_with_prior: r is frozen to a given prior. The inner minimization
+  then decouples across datasets and is closed-form, so each slope is
+  solved exactly.
 
-Both report an explicit duality gap: achieved rate minus the best dual lower
+One outer loop serves both inner solves: it brackets and bisects the slope
+to land on the distortion budget, blends the bracket ends onto the budget,
+and reports an explicit duality gap: achieved rate minus the best dual lower
 bound seen, which certifies the answer to within the gap. All rates are in
 bits; slopes are bits per unit distortion.
 """
@@ -32,8 +34,11 @@ from .spaces import Distribution, ProblemInstance
 LOG2 = math.log(2.0)
 
 DEFAULT_RATE_TOL = 1e-7
-DEFAULT_MAX_ITERS = 10**5
 SLOPE_MAX = 1e6
+_MAX_INNER_ITERS = 10**5
+# never reached: the bracket-width stop ends the bisection within about 50
+# halvings
+_MAX_BISECTIONS = 200
 # Distortion comparisons inside the solver allow this much absolute dust so a
 # boundary solution computed in floats is not rejected as infeasible.
 FEAS_DUST = 1e-13
@@ -98,30 +103,25 @@ def kl_rate(q_tilde: Posterior, prior: Distribution, instance: ProblemInstance) 
     Datasets with zero marginal mass are ignored; a positive-mass row leaking
     outside the prior's support is the infinite-rate case and raises.
     """
-    p_s = instance.p_s
-    total = 0.0
+    keep = instance.p_s > 0
     prior_p = prior.probs
-    for s in np.flatnonzero(p_s > 0):
-        row = q_tilde.rows[s]
-        bad = (row > 0) & (prior_p == 0)
-        if np.any(bad):
+    for s in np.flatnonzero(keep):
+        if np.any((q_tilde.rows[s] > 0) & (prior_p == 0)):
             raise SupportViolationError(
                 f"kl_rate is infinite: dataset {s} puts mass outside the prior support"
             )
-        total += p_s[s] * float(rel_entr(row, prior_p).sum())
-    return total / LOG2
+    return _kl_bits(instance.p_s[keep], q_tilde.rows[keep], prior_p)
 
 
-def _mi_bits(p: np.ndarray, q: np.ndarray) -> float:
-    """I(S;H) of weights p over rows q, safe for zero entries."""
-    marg = p @ q
+def _kl_bits(p: np.ndarray, q: np.ndarray, ref: np.ndarray) -> float:
+    """E_S D(q(.|s) || ref) in bits over weights p, summed row by row."""
     total = 0.0
     for s in range(q.shape[0]):
-        total += p[s] * float(rel_entr(q[s], marg).sum())
+        total += p[s] * float(rel_entr(q[s], ref).sum())
     return total / LOG2
 
 
-def _ba_lagrangian(p, dmat, sigma, tol_gap_nats, max_iters):
+def _ba_lagrangian(p, dmat, sigma, tol_gap_nats):
     """Alternating minimization of I + sigma*<q,D> (nats) at fixed tilt sigma.
 
     Returns (q, i_nats, avg_d, fw_gap_nats, iters). The Frank-Wolfe gap is a
@@ -138,7 +138,7 @@ def _ba_lagrangian(p, dmat, sigma, tol_gap_nats, max_iters):
     q = np.exp(tilt - tilt.max())  # placeholder until first diagnostics pass
     i_nats = avg_d = 0.0
     gap = np.inf
-    for it in range(1, max_iters + 1):
+    for it in range(1, _MAX_INNER_ITERS + 1):
         # scipy's logsumexp dominates runtime on alphabets this small, so the
         # reductions are spelled out with plain max/exp/log
         a = log_r[None, :] + tilt
@@ -147,7 +147,7 @@ def _ba_lagrangian(p, dmat, sigma, tol_gap_nats, max_iters):
         x = tilt - log_z[:, None]
         m0 = x.max(axis=0)
         log_t = np.log((p[:, None] * np.exp(x - m0[None, :])).sum(axis=0)) + m0
-        if it % check_every == 0 or it == max_iters or it == 1:
+        if it % check_every == 0 or it == _MAX_INNER_ITERS or it == 1:
             q = np.exp(a - log_z[:, None])
             avg_d = float(np.einsum("s,sh,sh->", p, q, dmat))
             i_nats = float(p @ rel_entr(q, p @ q).sum(axis=1))
@@ -169,84 +169,71 @@ def _ba_lagrangian(p, dmat, sigma, tol_gap_nats, max_iters):
     # Ran out of iterations. The iterate is still primal-feasible and the gap
     # is an honest certificate, so hand both back and let the caller fold the
     # residual into its reported duality gap.
-    return q, i_nats, avg_d, max(gap, 0.0), max_iters
+    return q, i_nats, avg_d, max(gap, 0.0), _MAX_INNER_ITERS
 
 
-def _embed_rows(rows_kept, keep, n_datasets, fill_row):
-    full = np.tile(fill_row, (n_datasets, 1))
-    full[keep] = rows_kept
-    return full
-
-
-def solve_rd(instance: ProblemInstance, q_sender: Posterior, epsilon: float,
-             rate_tol: float = DEFAULT_RATE_TOL, max_iters: int = DEFAULT_MAX_ITERS,
-             slope_max: float = SLOPE_MAX) -> RDPoint:
-    """Least mutual information compatible with a semantic-distortion budget.
-
-    The budget must be >= 0 (the sender's own rows always meet it). Ties on
-    the constraint boundary resolve toward the smaller rate; in particular a
-    budget reachable with a constant row returns rate exactly 0.
-    """
+def _setup(instance, q_sender, epsilon):
+    """Weights, distortion rows and baseline over the positive-mass datasets."""
     if epsilon < 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     dmat, baseline = effective_distortion_matrix(instance, q_sender)
-    p_s = instance.p_s
-    keep = p_s > 0
-    p = p_s[keep]
-    dk = dmat[keep]
-    n_h = instance.n_hypotheses
+    keep = instance.p_s > 0
+    return instance.p_s[keep], dmat[keep], baseline
 
-    # Rate-zero fast path: best constant row.
-    dbar = p @ dk
-    h_star = int(np.argmin(dbar))
-    delta0 = float(dbar[h_star]) - baseline
-    if delta0 <= epsilon + FEAS_DUST:
-        rows = _embed_rows(
-            np.tile(np.eye(n_h)[h_star], (len(p), 1)), keep, instance.n_datasets,
-            np.eye(n_h)[h_star],
-        )
-        return RDPoint(
-            epsilon=epsilon, rate=0.0, distortion=min(delta0, epsilon), slope=0.0,
-            q_tilde=Posterior.from_rows(rows, instance), iterations=0, duality_gap=0.0,
-        )
 
-    gap_tol_nats = 0.25 * rate_tol * LOG2
-    total_iters = 0
+def _constant_point(instance, epsilon, row, delta) -> RDPoint:
+    """The rate-zero answer: every dataset gets the same row."""
+    return RDPoint(
+        epsilon=epsilon, rate=0.0, distortion=min(delta, epsilon), slope=0.0,
+        q_tilde=Posterior.from_rows(np.tile(row, (instance.n_datasets, 1)), instance),
+        iterations=0, duality_gap=0.0,
+    )
+
+
+def _bisect_slope(instance, epsilon, p, dk, baseline, run, ref, rate_tol,
+                  width) -> RDPoint:
+    """Bisect the slope onto the distortion budget around one inner solve.
+
+    run(slope) minimizes rate + slope * distortion and returns (q, rate,
+    distortion, dual, iters), where dual is a certified lower bound on the
+    constrained optimum. ref(q) is the row the rate is measured against,
+    rate = E_S D(q(.|s) || ref(q)), and also fills zero-mass datasets. The
+    bisection stops once the rate is within rate_tol of the best dual bound
+    or the bracket is narrower than width relative to the slope.
+    """
     lower = -np.inf
+    iters = 0
 
-    def run(slope_bits):
-        nonlocal total_iters, lower
-        q, i_nats, avg_d, fw_gap, it = _ba_lagrangian(
-            p, dk, slope_bits * LOG2, gap_tol_nats, max_iters
-        )
-        total_iters += it
-        delta = avg_d - baseline
-        # dual value at this slope: certified Lagrangian lower bound minus slope*eps
-        dual = (i_nats - fw_gap) / LOG2 + slope_bits * (delta - epsilon)
+    def solve(slope):
+        nonlocal lower, iters
+        q, rate, delta, dual, it = run(slope)
         lower = max(lower, dual)
-        return q, i_nats / LOG2, delta
+        iters += it
+        return q, rate, delta
+
+    def distortion(q):
+        return float(np.einsum("s,sh,sh->", p, q, dk)) - baseline
 
     # Bracket the budget in slope.
     lo, hi = 0.0, 1.0
-    q_lo, delta_lo = None, delta0
-    q_hi, rate_hi, delta_hi = None, None, None
-    while hi <= slope_max:
-        q_hi, rate_hi, delta_hi = run(hi)
+    q_lo = delta_lo = None
+    while hi <= SLOPE_MAX:
+        q_hi, rate_hi, delta_hi = solve(hi)
         if delta_hi <= epsilon + FEAS_DUST:
             break
         lo, q_lo, delta_lo = hi, q_hi, delta_hi
         hi *= 2.0
     else:
         raise ConvergenceError(
-            f"no slope up to {slope_max} meets distortion budget {epsilon}; "
+            f"no slope up to {SLOPE_MAX} meets distortion budget {epsilon}; "
             f"last distortion {delta_hi}"
         )
 
-    for _ in range(200):
-        if rate_hi - max(lower, 0.0) <= rate_tol or hi - lo <= 1e-9 * max(1.0, hi):
+    for _ in range(_MAX_BISECTIONS):
+        if rate_hi - max(lower, 0.0) <= rate_tol or hi - lo <= width * max(1.0, hi):
             break
         mid = 0.5 * (lo + hi)
-        q_mid, rate_mid, delta_mid = run(mid)
+        q_mid, rate_mid, delta_mid = solve(mid)
         if delta_mid <= epsilon + FEAS_DUST:
             hi, q_hi, rate_hi, delta_hi = mid, q_mid, rate_mid, delta_mid
         else:
@@ -254,52 +241,80 @@ def solve_rd(instance: ProblemInstance, q_sender: Posterior, epsilon: float,
 
     # Candidate feasible solutions: the feasible side of the bracket, and the
     # chord blend that lands exactly on the budget (optimal on flat segments).
-    cands = [(rate_hi, delta_hi, q_hi)]
+    rate_f, delta_f, q_f = rate_hi, delta_hi, q_hi
     if q_lo is not None and delta_lo > epsilon > delta_hi:
         t = (epsilon - delta_hi) / (delta_lo - delta_hi)
         q_blend = t * q_lo + (1.0 - t) * q_hi
-        marg_d = float(np.einsum("s,sh,sh->", p, q_blend, dk)) - baseline
-        cands.append((_mi_bits(p, q_blend), marg_d, q_blend))
-    cands = [c for c in cands if c[1] <= epsilon + FEAS_DUST]
-    rate_f, delta_f, q_f = min(cands, key=lambda c: c[0])
+        delta_blend = distortion(q_blend)
+        rate_blend = _kl_bits(p, q_blend, ref(q_blend))
+        if delta_blend <= epsilon + FEAS_DUST and rate_blend < rate_f:
+            rate_f, delta_f, q_f = rate_blend, delta_blend, q_blend
 
     # Exact feasibility: nudge any float dust back inside the budget by
     # blending with the strictly feasible bracket point.
     if delta_f > epsilon and delta_hi < delta_f:
         a = (epsilon - delta_hi) / (delta_f - delta_hi)
         q_f = a * q_f + (1.0 - a) * q_hi
-        delta_f = float(np.einsum("s,sh,sh->", p, q_f, dk)) - baseline
-        rate_f = _mi_bits(p, q_f)
+        delta_f = distortion(q_f)
+        rate_f = _kl_bits(p, q_f, ref(q_f))
 
-    rows = _embed_rows(q_f, keep, instance.n_datasets, p @ q_f)
+    rows = np.tile(ref(q_f), (instance.n_datasets, 1))
+    rows[instance.p_s > 0] = q_f
     return RDPoint(
         epsilon=epsilon,
         rate=max(rate_f, 0.0),
         distortion=delta_f,
         slope=hi,
         q_tilde=Posterior.from_rows(rows, instance),
-        iterations=total_iters,
+        iterations=iters,
         duality_gap=max(rate_f - max(lower, 0.0), 0.0),
     )
 
 
+def solve_rd(instance: ProblemInstance, q_sender: Posterior, epsilon: float,
+             rate_tol: float = DEFAULT_RATE_TOL) -> RDPoint:
+    """Least mutual information compatible with a semantic-distortion budget.
+
+    The budget must be >= 0 (the sender's own rows always meet it). Ties on
+    the constraint boundary resolve toward the smaller rate; in particular a
+    budget reachable with a constant row returns rate exactly 0.
+    """
+    p, dk, baseline = _setup(instance, q_sender, epsilon)
+
+    # Rate-zero fast path: best constant row.
+    dbar = p @ dk
+    h_star = int(np.argmin(dbar))
+    delta0 = float(dbar[h_star]) - baseline
+    if delta0 <= epsilon + FEAS_DUST:
+        return _constant_point(instance, epsilon,
+                               np.eye(instance.n_hypotheses)[h_star], delta0)
+
+    gap_tol_nats = 0.25 * rate_tol * LOG2
+
+    def run(slope_bits):
+        q, i_nats, avg_d, fw_gap, it = _ba_lagrangian(
+            p, dk, slope_bits * LOG2, gap_tol_nats
+        )
+        delta = avg_d - baseline
+        # dual value at this slope: certified Lagrangian lower bound minus slope*eps
+        dual = (i_nats - fw_gap) / LOG2 + slope_bits * (delta - epsilon)
+        return q, i_nats / LOG2, delta, dual, it
+
+    # the rate is I(S;H) = E_S D(q(.|s) || marginal)
+    return _bisect_slope(instance, epsilon, p, dk, baseline, run,
+                         lambda q: p @ q, rate_tol, width=1e-9)
+
+
 def solve_rd_with_prior(instance: ProblemInstance, q_sender: Posterior, epsilon: float,
-                        prior: Distribution, rate_tol: float = DEFAULT_RATE_TOL,
-                        max_iters: int = DEFAULT_MAX_ITERS,
-                        slope_max: float = SLOPE_MAX) -> RDPoint:
+                        prior: Distribution,
+                        rate_tol: float = DEFAULT_RATE_TOL) -> RDPoint:
     """Least expected coding divergence against a fixed prior under a budget.
 
-    Same outer bisection as solve_rd, but the inner problem decouples across
-    datasets and is solved in closed form (tilt the prior by the distortion
-    column), so every slope evaluation is exact and the dual bound is tight.
+    The inner problem decouples across datasets and is solved in closed form
+    (tilt the prior by the distortion column), so every slope evaluation is
+    exact and the dual bound is tight.
     """
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-    dmat, baseline = effective_distortion_matrix(instance, q_sender)
-    p_s = instance.p_s
-    keep = p_s > 0
-    p = p_s[keep]
-    dk = dmat[keep]
+    p, dk, baseline = _setup(instance, q_sender, epsilon)
     prior_p = prior.probs
     if len(prior_p) != instance.n_hypotheses:
         raise SupportViolationError("prior lives on the wrong hypothesis alphabet")
@@ -314,88 +329,23 @@ def solve_rd_with_prior(instance: ProblemInstance, q_sender: Posterior, epsilon:
 
     delta_prior = float(p @ (dk @ prior_p)) - baseline
     if delta_prior <= epsilon + FEAS_DUST:
-        rows = _embed_rows(np.tile(prior_p, (len(p), 1)), keep,
-                           instance.n_datasets, prior_p)
-        return RDPoint(
-            epsilon=epsilon, rate=0.0, distortion=min(delta_prior, epsilon), slope=0.0,
-            q_tilde=Posterior.from_rows(rows, instance), iterations=0, duality_gap=0.0,
-        )
+        return _constant_point(instance, epsilon, prior_p, delta_prior)
 
     log_prior = np.full_like(prior_p, -np.inf)
     log_prior[supp] = np.log(prior_p[supp])
-    lower = -np.inf
-    evals = 0
 
     def run(slope_bits):
-        nonlocal lower, evals
-        evals += 1
         sigma = slope_bits * LOG2
         a = log_prior[None, :] - sigma * dk
         log_z = logsumexp(a, axis=1)
         q = np.exp(a - log_z[:, None])
-        avg_d = float(np.einsum("s,sh,sh->", p, q, dk))
-        delta = avg_d - baseline
-        kl_nats = float(sum(p[s] * rel_entr(q[s], prior_p).sum() for s in range(len(p))))
+        delta = float(np.einsum("s,sh,sh->", p, q, dk)) - baseline
         # exact Lagrangian minimum at this slope
         f_exact = (-float(p @ log_z) - sigma * baseline) / LOG2
-        lower = max(lower, f_exact - slope_bits * epsilon)
-        return q, kl_nats / LOG2, delta
+        return q, _kl_bits(p, q, prior_p), delta, f_exact - slope_bits * epsilon, 1
 
-    lo, hi = 0.0, 1.0
-    q_lo, delta_lo = None, delta_prior
-    q_hi = rate_hi = delta_hi = None
-    while hi <= slope_max:
-        q_hi, rate_hi, delta_hi = run(hi)
-        if delta_hi <= epsilon + FEAS_DUST:
-            break
-        lo, q_lo, delta_lo = hi, q_hi, delta_hi
-        hi *= 2.0
-    else:
-        raise ConvergenceError(
-            f"no slope up to {slope_max} meets distortion budget {epsilon}; "
-            f"last distortion {delta_hi}"
-        )
-
-    for _ in range(300):
-        if rate_hi - max(lower, 0.0) <= rate_tol or hi - lo <= 1e-15 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        q_mid, rate_mid, delta_mid = run(mid)
-        if delta_mid <= epsilon + FEAS_DUST:
-            hi, q_hi, rate_hi, delta_hi = mid, q_mid, rate_mid, delta_mid
-        else:
-            lo, q_lo, delta_lo = mid, q_mid, delta_mid
-
-    def klrate_bits(q):
-        return float(sum(p[s] * rel_entr(q[s], prior_p).sum() for s in range(len(p)))) / LOG2
-
-    cands = [(rate_hi, delta_hi, q_hi)]
-    if q_lo is not None and delta_lo > epsilon > delta_hi:
-        t = (epsilon - delta_hi) / (delta_lo - delta_hi)
-        q_blend = t * q_lo + (1.0 - t) * q_hi
-        cands.append((
-            klrate_bits(q_blend),
-            float(np.einsum("s,sh,sh->", p, q_blend, dk)) - baseline,
-            q_blend,
-        ))
-    cands = [c for c in cands if c[1] <= epsilon + FEAS_DUST]
-    rate_f, delta_f, q_f = min(cands, key=lambda c: c[0])
-    if delta_f > epsilon and delta_hi < delta_f:
-        a = (epsilon - delta_hi) / (delta_f - delta_hi)
-        q_f = a * q_f + (1.0 - a) * q_hi
-        delta_f = float(np.einsum("s,sh,sh->", p, q_f, dk)) - baseline
-        rate_f = klrate_bits(q_f)
-
-    rows = _embed_rows(q_f, keep, instance.n_datasets, prior_p)
-    return RDPoint(
-        epsilon=epsilon,
-        rate=max(rate_f, 0.0),
-        distortion=delta_f,
-        slope=hi,
-        q_tilde=Posterior.from_rows(rows, instance),
-        iterations=evals,
-        duality_gap=max(rate_f - max(lower, 0.0), 0.0),
-    )
+    return _bisect_slope(instance, epsilon, p, dk, baseline, run,
+                         lambda q: prior_p, rate_tol, width=1e-15)
 
 
 def rd_curve(instance: ProblemInstance, q_sender: Posterior, epsilons,

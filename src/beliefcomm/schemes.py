@@ -167,9 +167,8 @@ def _conditional_mi_given_h(joint3: np.ndarray) -> float:
     return float(total)
 
 
-def _inverse_rate_lookup(instance, q_alice, budget, rate_tol):
-    """Smallest budgeted distortion: min eps with rate(eps) <= budget."""
-    p0 = solve_rd(instance, q_alice, 0.0, rate_tol=rate_tol)
+def _inverse_rate_lookup(instance, q_alice, budget, rate_tol, p0):
+    """Smallest budgeted distortion: min eps with rate(eps) <= budget; p0 is eps=0."""
     if p0.rate <= budget:
         return p0
     dmat, baseline = effective_distortion_matrix(instance, q_alice)
@@ -216,16 +215,14 @@ def compare_schemes(instance: ProblemInstance, q_alice: Posterior,
 
     budget = mi_pair if rate_budget is None else float(rate_budget)
     infeasible = budget < -1e-12
-    if infeasible:
-        point = solve_rd(instance, q_alice, 0.0, rate_tol=rate_tol)
-    else:
-        point = _inverse_rate_lookup(instance, q_alice, budget, rate_tol)
+    p0 = solve_rd(instance, q_alice, 0.0, rate_tol=rate_tol)
+    point = p0 if infeasible else _inverse_rate_lookup(instance, q_alice, budget,
+                                                       rate_tol, p0)
 
     q_bob2 = Posterior.from_rows(rows2[list(labels)], instance)
     dist2 = d_sem(q_alice, q_bob2, instance)
 
-    r_star = solve_rd(instance, q_alice, 0.0, rate_tol=rate_tol).rate
-    delta_r = max(r_star - budget, 0.0)
+    delta_r = max(p0.rate - budget, 0.0)
     return SchemeReport(
         compressor=labels,
         mi_model=mi_pair,

@@ -68,6 +68,34 @@ def test_code_csv_contract(tmp_path, instance_file):
         assert r[5] in ("0", "1")
 
 
+def test_code_computes_each_exact_law_once(tmp_path, instance_file,
+                                           monkeypatch):
+    """Positions with the same dataset and K share one exact law and oracle."""
+    from beliefcomm import cli, load_problem_instance
+
+    calls = {"exact": 0, "oracle": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "induced_distribution_exact",
+                        counted("exact", cli.induced_distribution_exact))
+    monkeypatch.setattr(cli, "mrc_enumeration_oracle",
+                        counted("oracle", cli.mrc_enumeration_oracle))
+    out = tmp_path / "out"
+    rc = main(["code", "--instance", instance_file, "--out", str(out),
+               "--n", "16", "--slack", "2", "--seed", "3", "--with-oracle"])
+    assert rc == 0
+    assert len(_rows(out / "code.csv")) == 16
+    n_datasets = load_problem_instance(instance_file).n_datasets
+    assert 1 <= calls["exact"] <= n_datasets
+    assert 1 <= calls["oracle"] <= n_datasets
+    assert len(_rows(out / "oracle_checks.csv")) == 16
+
+
 def test_coordinate_csv_contract(tmp_path, instance_file):
     out = tmp_path / "out"
     rc = main(["coordinate", "--instance", instance_file, "--out", str(out),

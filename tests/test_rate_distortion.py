@@ -134,6 +134,20 @@ def test_prior_solver_dominates_unconstrained():
         assert pinned.rate >= free.rate - 1e-6
 
 
+def test_prior_solver_at_the_optimal_marginal_matches_solve_rd():
+    # I(S;H) = min_r E_S D(q(.|s) || r): pinned to solve_rd's own output
+    # marginal, the prior solver's optimum is the free optimum, so each
+    # answer must sit inside the other's duality gap
+    for seed in range(20, 32):
+        inst, q, span = _sharp_sender(seed)
+        for frac in (0.0, 0.3, 0.7):
+            eps = frac * span
+            free = solve_rd(inst, q, eps)
+            pinned = solve_rd_with_prior(inst, q, eps, free.q_tilde.marginal)
+            assert free.rate - free.duality_gap - 1e-9 <= pinned.rate
+            assert pinned.rate <= free.rate + pinned.duality_gap + 1e-9
+
+
 def test_prior_solver_feasible_at_budget():
     inst, q, span = _sharp_sender(8)
     for frac in (0.0, 0.5):
