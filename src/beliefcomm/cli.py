@@ -1,10 +1,12 @@
 """Command line front end: seeded experiments written as CSV plus a manifest.
 
-Every subcommand reads an optional JSON config, applies flag overrides,
-runs, and writes files under --out. Outputs carry no timestamps, so a rerun
-with the same config and seed is byte-identical. Exit codes: 0 on success,
-2 on a validation problem, 3 when an invariant, bound, or oracle check
-fails.
+One entry point, ``main``, serves the subcommands listed in ``COMMANDS``: it
+loads the JSON config with the given flags laid over it, calls the handler,
+which only computes its table and check rows, then writes ``<command>.csv``,
+``manifest.json`` and the check rows, and picks the exit code. Outputs carry no
+timestamps, so a rerun with the same config and seed is byte-identical. Exit
+codes: 0 on success, 2 on a bad flag, config value or input file, 3 when an
+invariant, bound, or oracle check fails.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import platform
 import sys
 from pathlib import Path
@@ -23,8 +26,10 @@ from . import __version__
 from .channel_coding import CommonRandomness, code_sequence, encode_batch, \
     induced_distribution_exact, inverse_cdf_sample
 from .coordination import (
+    SequenceTrace,
     d_avg_seq,
     d_max_seq,
+    joint_type_from_pairs,
     run_example_1,
     simulate_strong,
 )
@@ -36,7 +41,7 @@ from .errors import (
     EnumerationCapError,
     InvariantViolationError,
 )
-from .learning import LearningRule, fit
+from .learning import LearningRule, Posterior, effective_distortion_matrix, fit
 from .oracle import (
     mrc_enumeration_oracle,
     rd_grid_oracle,
@@ -55,6 +60,16 @@ from .worlds import random_instance, two_hypothesis_world
 
 VALIDATION_EXIT = 2
 VIOLATION_EXIT = 3
+
+# parsed arguments that main uses itself; the rest are experiment settings
+_MAIN_KEYS = ("command", "config", "out", "with_oracle")
+# comma-separated flags and the type of their elements
+_LIST_FLAGS = {"epsilons": float, "n_list": int}
+# numeric settings: the type that converts them and their least value (None
+# for a float setting, which must be finite)
+_NUMERIC = {"n": (int, 1), "trials": (int, 1), "tv_trials": (int, 1),
+            "instances": (int, 0), "slack": (float, None),
+            "rate_budget": (float, None)}
 
 
 def _fmt(x) -> str:
@@ -75,16 +90,6 @@ def _write_csv(path: Path, header, rows):
             w.writerow([_fmt(x) for x in row])
 
 
-def _write_checks(path: Path, rows) -> int:
-    """Write oracle agreement rows; the exit code says whether all held."""
-    _write_csv(path, ["check", "case", "value_solver", "value_oracle",
-                      "abs_diff", "ok"], rows)
-    if any(not r[-1] for r in rows):
-        print(f"oracle disagreement; see {path.name}", file=sys.stderr)
-        return VIOLATION_EXIT
-    return 0
-
-
 def _write_manifest(outdir: Path, command: str, cfg: dict):
     manifest = {
         "command": command,
@@ -103,8 +108,9 @@ def _write_manifest(outdir: Path, command: str, cfg: dict):
 
 
 def _load_config(args) -> dict:
+    """The JSON config file, if any, with every flag given laid over it."""
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError("/", f"config file not found: {path}")
@@ -114,40 +120,52 @@ def _load_config(args) -> dict:
             raise ConfigError("/", f"config is not valid JSON: {e}")
         if not isinstance(cfg, dict):
             raise ConfigError("/", "config must be a JSON object")
-    for key in ("seed", "n", "trials", "slack", "mode", "prior", "rate_budget",
-                "instances", "tv_trials"):
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            cfg[key] = val
-    if getattr(args, "epsilons", None):
-        try:
-            cfg["epsilons"] = [float(x) for x in args.epsilons.split(",")]
-        except ValueError:
-            raise ConfigError("/epsilons", "expected comma-separated numbers")
-    if getattr(args, "n_list", None):
-        try:
-            cfg["n_list"] = [int(x) for x in args.n_list.split(",")]
-        except ValueError:
-            raise ConfigError("/n_list", "expected comma-separated integers")
-    if getattr(args, "instance", None):
-        cfg["instance"] = args.instance
+    for key, val in vars(args).items():
+        if key in _MAIN_KEYS or val is None:
+            continue
+        if key in _LIST_FLAGS:
+            kind = _LIST_FLAGS[key]
+            try:
+                val = [kind(x) for x in val.split(",")]
+            except ValueError:
+                raise ConfigError(f"/{key}",
+                                  f"expected comma-separated {kind.__name__}s")
+        cfg[key] = val
     return cfg
 
 
-def _get_instance(cfg):
+def _setting(cfg, key: str, default):
+    """Numeric setting, converted as int() / float() would and range-checked;
+    a setting with no default is optional and reads None when unset."""
+    kind, least = _NUMERIC[key]
+    val = cfg.get(key, default)
+    if val is None and default is None:
+        return None
+    try:
+        x = kind(val)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"/{key}", f"expected a number, got {val!r}") from None
+    if kind is float and not math.isfinite(x):
+        raise ConfigError(f"/{key}", f"must be finite, got {val!r}")
+    if least is not None and x < least:
+        raise ConfigError(f"/{key}", f"must be >= {least}, got {val!r}")
+    return x
+
+
+def _get_sender(cfg):
+    """The problem instance, the learning rule and the rule's fitted sender."""
     if "instance" not in cfg:
         raise ConfigError("/instance", "this command needs a problem instance")
     spec = cfg["instance"]
     if isinstance(spec, str):
         path = Path(spec)
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError("/instance", f"no such file: {path}")
-        return load_problem_instance(path)
-    return problem_instance_from_json(spec, pointer="/instance")
-
-
-def _get_rule(cfg) -> LearningRule:
-    return LearningRule.from_json(cfg.get("rule", {"rule": "gibbs", "beta": 1.0}))
+        instance = load_problem_instance(path)
+    else:
+        instance = problem_instance_from_json(spec, pointer="/instance")
+    rule = LearningRule.from_json(cfg.get("rule", {"rule": "gibbs", "beta": 1.0}))
+    return instance, rule, fit(rule, instance)
 
 
 def _get_seed(cfg) -> int:
@@ -169,7 +187,7 @@ def _get_prior(cfg, posterior, n_hypotheses) -> Distribution:
         return Distribution(spec)
     if isinstance(spec, str):
         path = Path(spec)
-        if not path.exists():
+        if not path.is_file():
             raise ConfigError("/prior", f"no such prior file: {path}")
         try:
             return Distribution(json.loads(path.read_text()))
@@ -192,50 +210,41 @@ def _epsilon_grid(cfg, l_max: float):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: handler(cfg, with_oracle) -> ((header, rows) or None,
+# check rows or None); files and exit codes are left to main
 
 
-def _cmd_rd_curve(args, outdir: Path) -> int:
-    cfg = _load_config(args)
-    instance = _get_instance(cfg)
-    rule = _get_rule(cfg)
-    q_alice = fit(rule, instance)
+def _cmd_rd_curve(cfg, with_oracle):
+    instance, _, q_alice = _get_sender(cfg)
     prior = _get_prior(cfg, q_alice, instance.n_hypotheses)
     epsilons = _epsilon_grid(cfg, instance.hypotheses.l_max)
     points = rd_curve(instance, q_alice, epsilons).points
     prior_points = rd_curve(instance, q_alice, epsilons, prior=prior).points
-    _write_csv(outdir / "rd-curve.csv",
-               ["epsilon", "rate_bits", "rate_with_prior_bits",
-                "converged_iters", "duality_gap"],
-               [(pt.epsilon, pt.rate, ppt.rate, pt.iterations, pt.duality_gap)
-                for pt, ppt in zip(points, prior_points)])
-    _write_manifest(outdir, "rd-curve", cfg)
-    if args.with_oracle:
-        checks = []
-        free = int(np.sum(instance.p_s > 0)) * (instance.n_hypotheses - 1)
-        if free <= 4:
-            for eps, pt in zip(epsilons, points):
-                oracle_rate = rd_grid_oracle(instance, q_alice, eps)
-                diff = abs(oracle_rate - pt.rate)
-                checks.append(("rd_grid", f"eps={_fmt(eps)}", pt.rate,
-                               oracle_rate, diff, diff <= 1e-3))
-        return _write_checks(outdir / "oracle_checks.csv", checks)
-    return 0
+    table = (["epsilon", "rate_bits", "rate_with_prior_bits",
+              "converged_iters", "duality_gap"],
+             [(pt.epsilon, pt.rate, ppt.rate, pt.iterations, pt.duality_gap)
+              for pt, ppt in zip(points, prior_points)])
+    checks = []
+    free = int(np.sum(instance.p_s > 0)) * (instance.n_hypotheses - 1)
+    if with_oracle and free <= 4:
+        for eps, pt in zip(epsilons, points):
+            oracle_rate = rd_grid_oracle(instance, q_alice, eps)
+            diff = abs(oracle_rate - pt.rate)
+            checks.append(("rd_grid", f"eps={_fmt(eps)}", pt.rate,
+                           oracle_rate, diff, diff <= 1e-3))
+    return table, checks if with_oracle else None
 
 
-def _cmd_code(args, outdir: Path) -> int:
-    cfg = _load_config(args)
-    instance = _get_instance(cfg)
-    rule = _get_rule(cfg)
-    q_alice = fit(rule, instance)
+def _cmd_code(cfg, with_oracle):
+    instance, _, q_alice = _get_sender(cfg)
     prior = _get_prior(cfg, q_alice, instance.n_hypotheses)
     seed = _get_seed(cfg)
-    n = int(cfg.get("n", 8))
-    slack = float(cfg.get("slack", 4.0))
+    n = _setting(cfg, "n", 8)
+    slack = _setting(cfg, "slack", 4.0)
     mode = cfg.get("mode", "per_symbol")
     if mode not in ("per_symbol", "block"):
         raise ConfigError("/mode", f"unknown mode {mode!r}")
-    tv_trials = int(cfg.get("tv_trials", 512))
+    tv_trials = _setting(cfg, "tv_trials", 512)
     cr = CommonRandomness(seed)
     s_seq = inverse_cdf_sample(instance.p_s, cr.data_stream(0).random(n))
     cr.tally(n)
@@ -250,7 +259,7 @@ def _cmd_code(args, outdir: Path) -> int:
         except EnumerationCapError:
             return None
         tv, check = total_variation(induced, row_dist), None
-        if args.with_oracle and len(prior) ** k <= 4096:
+        if with_oracle and len(prior) ** k <= 4096:
             ref = mrc_enumeration_oracle(row_dist, prior, k)
             diff = total_variation(induced, ref)
             check = (total_variation(ref, row_dist), diff, diff <= 1e-12)
@@ -284,71 +293,56 @@ def _cmd_code(args, outdir: Path) -> int:
             tvs[i] = total_variation(hits[i] / tv_trials, row_dists[i])
     rows = [(i, kl_divergence(row_dists[i], prior), rec.n_candidates,
              rec.index_bits, tvs[i], rec.fallback) for i, rec in enumerate(recs)]
-    _write_csv(outdir / "code.csv",
-               ["position", "kl_bits", "K", "index_bits",
-                "tv_exact_or_estimate", "flagged_fallback"], rows)
-    _write_manifest(outdir, "code", cfg)
-    if args.with_oracle:
-        return _write_checks(outdir / "oracle_checks.csv", oracle_rows)
-    return 0
+    return ((["position", "kl_bits", "K", "index_bits", "tv_exact_or_estimate",
+              "flagged_fallback"], rows),
+            oracle_rows if with_oracle else None)
 
 
-def _cmd_coordinate(args, outdir: Path) -> int:
-    cfg = _load_config(args)
-    instance = _get_instance(cfg)
-    rule = _get_rule(cfg)
-    q_target = fit(rule, instance)
+def _cmd_coordinate(cfg, with_oracle):
+    instance, _, q_target = _get_sender(cfg)
     seed = _get_seed(cfg)
-    n = int(cfg.get("n", 4))
-    trials = int(cfg.get("trials", 10**4))
-    slack = float(cfg.get("slack", 4.0))
+    n = _setting(cfg, "n", 4)
+    trials = _setting(cfg, "trials", 10**4)
+    slack = _setting(cfg, "slack", 4.0)
     cr = CommonRandomness(seed)
     report = simulate_strong(instance, q_target, n, cr, trials=trials, slack=slack)
-    _write_csv(outdir / "coordinate.csv",
-               ["n", "d_avg", "d_max", "bits_per_symbol", "tv_max_position",
-                "trials"],
-               [(report.n, report.d_avg_est, report.d_max_est,
-                 report.bits_per_symbol, report.tv_max_position, report.trials)])
-    _write_manifest(outdir, "coordinate", cfg)
-    return 0
+    return (["n", "d_avg", "d_max", "bits_per_symbol", "tv_max_position",
+             "trials"],
+            [(report.n, report.d_avg_est, report.d_max_est,
+              report.bits_per_symbol, report.tv_max_position,
+              report.trials)]), None
 
 
-def _cmd_example1(args, outdir: Path) -> int:
-    cfg = _load_config(args)
+def _cmd_example1(cfg, with_oracle):
     seed = _get_seed(cfg)
     n_list = cfg.get("n_list")
     if n_list is None:
-        n_list = [int(cfg["n"])] if "n" in cfg else [2, 3, 4, 5, 8, 16, 32, 50]
-    if not all(isinstance(n, int) and n >= 2 for n in n_list):
-        raise ConfigError("/n_list", "need integers >= 2")
+        n_list = [_setting(cfg, "n", None)] if "n" in cfg else \
+            [2, 3, 4, 5, 8, 16, 32, 50]
+    if not isinstance(n_list, list) or \
+            not all(isinstance(n, int) and n >= 2 for n in n_list):
+        raise ConfigError("/n_list", "need a list of integers >= 2")
     rows, oracle_rows = [], []
     world = two_hypothesis_world()
     for n in n_list:
         res = run_example_1(n, seed=seed)
         rows.append((n, res.d_avg, res.d_max, res.bits_per_symbol,
                      res.tv_max_position, 0))
-        if args.with_oracle:
+        if with_oracle:
             o_avg, o_max = sequence_distortion_oracle(res.trace, world)
             diff = max(abs(o_avg - res.d_avg), abs(o_max - res.d_max))
             oracle_rows.append(("sequence_distortion", f"n={n}", res.d_avg,
                                 o_avg, diff, diff <= 1e-12))
-    _write_csv(outdir / "example1.csv",
-               ["n", "d_avg", "d_max", "bits_per_symbol", "tv_max_position",
-                "trials"], rows)
-    _write_manifest(outdir, "example1", cfg)
-    if args.with_oracle:
-        return _write_checks(outdir / "oracle_checks.csv", oracle_rows)
-    return 0
+    return ((["n", "d_avg", "d_max", "bits_per_symbol", "tv_max_position",
+              "trials"], rows),
+            oracle_rows if with_oracle else None)
 
 
-def _cmd_compare_schemes(args, outdir: Path) -> int:
-    cfg = _load_config(args)
-    instance = _get_instance(cfg)
-    rule = _get_rule(cfg)
+def _cmd_compare_schemes(cfg, with_oracle):
+    instance, rule, q_alice = _get_sender(cfg)
     if rule.kind == "map_table":
         raise ConfigError("/rule", "compare-schemes needs a refittable rule")
-    q_alice = fit(rule, instance)
-    budget = cfg.get("rate_budget")
+    budget = _setting(cfg, "rate_budget", None)
     compressors = cfg.get("compressors")
     if compressors is None:
         if instance.n_datasets > 6:
@@ -357,9 +351,11 @@ def _cmd_compare_schemes(args, outdir: Path) -> int:
                 "exhaustive enumeration limited to 6 datasets; list compressors"
             )
         compressors = list(enumerate_compressors(instance.n_datasets))
+    if not isinstance(compressors, list):
+        raise ConfigError("/compressors", "need a list of maps")
     rows = []
     for rho in compressors:
-        if len(rho) != instance.n_datasets:
+        if not isinstance(rho, (list, tuple)) or len(rho) != instance.n_datasets:
             raise ConfigError("/compressors", "each map must label every dataset")
         rep = compare_schemes(instance, q_alice, rule, rho,
                               rate_budget=budget)
@@ -368,41 +364,25 @@ def _cmd_compare_schemes(args, outdir: Path) -> int:
                      rep.bound1, rep.bound2, rep.measured_distortion,
                      rep.rate_budget, rep.scheme1_rate, rep.boundary_gap,
                      rep.distortion_scheme2, rep.infeasible))
-    _write_csv(outdir / "compare-schemes.csv",
-               ["compressor", "mi_model", "mi_model2", "mi_residual", "delta_r",
-                "bound1", "bound2", "measured_distortion", "rate_budget",
-                "scheme1_rate", "boundary_gap", "distortion_scheme2",
-                "infeasible"], rows)
-    _write_manifest(outdir, "compare-schemes", cfg)
-    return 0
+    return (["compressor", "mi_model", "mi_model2", "mi_residual", "delta_r",
+             "bound1", "bound2", "measured_distortion", "rate_budget",
+             "scheme1_rate", "boundary_gap", "distortion_scheme2",
+             "infeasible"], rows), None
 
 
-def _random_world_and_sender(rng):
-    inst = random_instance(
-        rng,
-        n_concepts=int(rng.integers(2, 4)),
-        n_symbols=int(rng.integers(2, 4)),
-        n_hypotheses=int(rng.integers(2, 4)),
-        m=1,
-    )
-    beta = float(np.exp(rng.uniform(np.log(0.5), np.log(4.0))))
-    return inst, fit(LearningRule.gibbs(beta), inst)
-
-
-def _cmd_verify_bound(args, outdir: Path) -> int:
-    cfg = _load_config(args)
+def _cmd_verify_bound(cfg, with_oracle):
     seed = _get_seed(cfg)
-    count = int(cfg.get("instances", 20))
+    count = _setting(cfg, "instances", 20)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    cases = []
     world = two_hypothesis_world()
-    uniform_rows = np.full((world.n_datasets, 2), 0.5)
-    from .learning import Posterior
-    cases.append(("alternating-world", world,
-                  Posterior.from_rows(uniform_rows, world)))
+    cases = [("alternating-world", world,
+              Posterior.from_rows(np.full((world.n_datasets, 2), 0.5), world))]
     for i in range(count):
-        inst, q = _random_world_and_sender(rng)
-        cases.append((f"random-{i}", inst, q))
+        inst = random_instance(rng, n_concepts=int(rng.integers(2, 4)),
+                               n_symbols=int(rng.integers(2, 4)),
+                               n_hypotheses=int(rng.integers(2, 4)), m=1)
+        beta = float(np.exp(rng.uniform(np.log(0.5), np.log(4.0))))
+        cases.append((f"random-{i}", inst, fit(LearningRule.gibbs(beta), inst)))
     rows = []
     for name, inst, q_alice in cases:
         prior = _get_prior(cfg, q_alice, inst.n_hypotheses)
@@ -410,38 +390,26 @@ def _cmd_verify_bound(args, outdir: Path) -> int:
         try:
             checks = verify_bound(inst, q_alice, prior, eps_grid)
         except BoundViolationError as e:
-            repro = outdir / "violation.json"
-            with open(repro, "w") as f:
-                json.dump(e.instance_json, f, indent=2, sort_keys=True)
-            print(f"bound violated on {name}: {e}; instance in {repro}",
-                  file=sys.stderr)
-            return VIOLATION_EXIT
+            raise BoundViolationError(f"bound violated on {name}: {e}",
+                                      e.instance_json) from e
         for c in checks:
             rows.append((name, c.epsilon, c.rate, c.r_star, c.delta_r,
                          c.bound, c.measured, c.margin, c.ok))
-    _write_csv(outdir / "verify-bound.csv",
-               ["instance_id", "epsilon", "rate_bits", "r_star_bits",
-                "delta_r_bits", "bound", "measured", "margin", "ok"], rows)
-    _write_manifest(outdir, "verify-bound", cfg)
-    return 0
+    return (["instance_id", "epsilon", "rate_bits", "r_star_bits",
+             "delta_r_bits", "bound", "measured", "margin", "ok"], rows), None
 
 
-def _cmd_audit(args, outdir: Path) -> int:
-    cfg = _load_config(args)
+def _cmd_audit(cfg, with_oracle):
     seed = _get_seed(cfg)
-    count = int(cfg.get("instances", 8))
+    count = _setting(cfg, "instances", 8)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     rows = []
-
-    from .learning import effective_distortion_matrix
 
     sizes = [(2, 2), (3, 2), (2, 3)]
     for i in range(count):
         n_sym, n_h = sizes[i % len(sizes)]
         # hunt briefly for a sender that beats every constant reply, so the
         # checked point sits on the positive-rate part of the curve
-        inst = q = None
-        span = 0.0
         for _ in range(40):
             inst = random_instance(rng, n_concepts=3, n_symbols=n_sym,
                                    n_hypotheses=n_h, m=1, concentration=0.2)
@@ -468,7 +436,6 @@ def _cmd_audit(args, outdir: Path) -> int:
         rows.append(("mrc_induced", f"case={i}", float(ind.probs[0]),
                      float(ref.probs[0]), diff, diff <= 1e-12))
 
-    from .coordination import SequenceTrace, joint_type_from_pairs
     for i in range(count):
         inst = random_instance(rng, n_concepts=2, n_symbols=2,
                                n_hypotheses=2, m=1)
@@ -491,12 +458,47 @@ def _cmd_audit(args, outdir: Path) -> int:
         diff = max(abs(o_avg - a_avg), abs(o_max - a_max))
         rows.append(("sequence_distortion", f"case={i}", a_avg, o_avg, diff,
                      diff <= 1e-12))
-
-    _write_manifest(outdir, "audit", cfg)
-    return _write_checks(outdir / "audit.csv", rows)
+    return None, rows
 
 
 # ---------------------------------------------------------------------------
+
+# every flag past --config and --out, declared once
+_FLAGS = {
+    "--seed": {"type": int},
+    "--with-oracle": {"action": "store_true",
+                      "help": "cross-check results against brute-force oracles"},
+    "--instance": {"help": "problem instance JSON file"},
+    "--epsilons": {"help": "comma-separated budgets"},
+    "--prior": {"help": "marginal, uniform, or a JSON file"},
+    "--n": {"type": int},
+    "--n-list": {"help": "comma-separated lengths"},
+    "--slack": {"type": float},
+    "--mode": {"choices": ["per_symbol", "block"]},
+    "--tv-trials": {"type": int},
+    "--trials": {"type": int},
+    "--rate-budget": {"type": float},
+    "--instances": {"type": int},
+}
+
+# subcommand: (help, handler, the flags it takes)
+COMMANDS = {
+    "rd-curve": ("rate-distortion curve over a budget grid", _cmd_rd_curve,
+                 "--with-oracle --instance --epsilons --prior"),
+    "code": ("one-shot code a sampled dataset sequence", _cmd_code,
+             "--seed --with-oracle --instance --n --slack --mode --prior "
+             "--tv-trials"),
+    "coordinate": ("strong per-position tracking estimate", _cmd_coordinate,
+                   "--seed --instance --n --trials --slack"),
+    "example1": ("the alternating-schedule walkthrough", _cmd_example1,
+                 "--seed --with-oracle --n --n-list"),
+    "compare-schemes": ("model-first vs data-first accounting",
+                        _cmd_compare_schemes, "--instance --rate-budget"),
+    "verify-bound": ("distortion-rate ceiling sweep", _cmd_verify_bound,
+                     "--seed --instances --epsilons --prior"),
+    "audit": ("run every oracle bank on random cases", _cmd_audit,
+              "--seed --instances"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,83 +507,51 @@ def build_parser() -> argparse.ArgumentParser:
         description="Seeded experiments on communicating learned beliefs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, instance=True):
+    for name, (help_text, _, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--with-oracle", action="store_true",
-                       help="cross-check results against brute-force oracles")
-        if instance:
-            p.add_argument("--instance", help="problem instance JSON file")
-
-    p = sub.add_parser("rd-curve", help="rate-distortion curve over a budget grid")
-    common(p)
-    p.add_argument("--epsilons", help="comma-separated budgets")
-    p.add_argument("--prior", help="marginal, uniform, or a JSON file")
-
-    p = sub.add_parser("code", help="one-shot code a sampled dataset sequence")
-    common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--slack", type=float, default=None)
-    p.add_argument("--mode", choices=["per_symbol", "block"], default=None)
-    p.add_argument("--prior", help="marginal, uniform, or a JSON file")
-    p.add_argument("--tv-trials", type=int, default=None)
-
-    p = sub.add_parser("coordinate", help="strong per-position tracking estimate")
-    common(p)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--slack", type=float, default=None)
-
-    p = sub.add_parser("example1", help="the alternating-schedule walkthrough")
-    common(p, instance=False)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--n-list", dest="n_list", help="comma-separated lengths")
-
-    p = sub.add_parser("compare-schemes", help="model-first vs data-first accounting")
-    common(p)
-    p.add_argument("--rate-budget", type=float, default=None)
-
-    p = sub.add_parser("verify-bound", help="distortion-rate ceiling sweep")
-    common(p, instance=False)
-    p.add_argument("--instances", type=int, default=None)
-    p.add_argument("--epsilons", help="comma-separated budgets")
-    p.add_argument("--prior", help="marginal, uniform, or a JSON file")
-
-    p = sub.add_parser("audit", help="run every oracle bank on random cases")
-    common(p, instance=False)
-    p.add_argument("--instances", type=int, default=None)
-
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
-
-
-_HANDLERS = {
-    "rd-curve": _cmd_rd_curve,
-    "code": _cmd_code,
-    "coordinate": _cmd_coordinate,
-    "example1": _cmd_example1,
-    "compare-schemes": _cmd_compare_schemes,
-    "verify-bound": _cmd_verify_bound,
-    "audit": _cmd_audit,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _, run, _ = COMMANDS[args.command]
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        return _HANDLERS[args.command](args, outdir)
-    except (ConfigError,) as e:
+        cfg = _load_config(args)
+        table, checks = run(cfg, getattr(args, "with_oracle", False))
+    except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return VALIDATION_EXIT
-    except (InvariantViolationError, BoundViolationError, ConvergenceError) as e:
+    except BoundViolationError as e:
+        repro = outdir / "violation.json"
+        with open(repro, "w") as f:
+            json.dump(e.instance_json, f, indent=2, sort_keys=True)
+        print(f"{e}; instance in {repro}", file=sys.stderr)
+        return VIOLATION_EXIT
+    except (InvariantViolationError, ConvergenceError) as e:
         print(f"check failed: {e}", file=sys.stderr)
         return VIOLATION_EXIT
     except BeliefCommError as e:
         print(f"validation error: {e}", file=sys.stderr)
         return VALIDATION_EXIT
+    if table is not None:
+        _write_csv(outdir / f"{args.command}.csv", *table)
+    _write_manifest(outdir, args.command, cfg)
+    if checks is None:
+        return 0
+    path = outdir / ("audit.csv" if args.command == "audit" else
+                     "oracle_checks.csv")
+    _write_csv(path, ["check", "case", "value_solver", "value_oracle",
+                      "abs_diff", "ok"], checks)
+    if all(row[-1] for row in checks):
+        return 0
+    print(f"oracle disagreement; see {path.name}", file=sys.stderr)
+    return VIOLATION_EXIT
 
 
 if __name__ == "__main__":

@@ -269,12 +269,13 @@ def verify_bound(instance: ProblemInstance, q_alice: Posterior,
     read off the solver, so the check crosses two code paths. Any violation
     beyond tol raises with the serialized instance attached.
     """
-    r_star = solve_rd_with_prior(instance, q_alice, 0.0, prior,
-                                 rate_tol=rate_tol).rate
+    zero = solve_rd_with_prior(instance, q_alice, 0.0, prior, rate_tol=rate_tol)
+    r_star = zero.rate
     rows = []
     for eps in epsilon_grid:
-        point = solve_rd_with_prior(instance, q_alice, float(eps), prior,
-                                    rate_tol=rate_tol)
+        # a budget of 0 is the reference point itself; the solve is deterministic
+        point = zero if float(eps) == 0.0 else solve_rd_with_prior(
+            instance, q_alice, float(eps), prior, rate_tol=rate_tol)
         delta_r = max(r_star - point.rate, 0.0)
         bound = distortion_rate_bound(delta_r, instance.hypotheses.l_max)
         measured = d_sem(q_alice, point.q_tilde, instance)

@@ -228,3 +228,88 @@ def test_unknown_mode_in_config_is_rejected(tmp_path, instance_file):
     rc = main(["code", "--instance", instance_file,
                "--out", str(tmp_path / "o"), "--config", str(cfg)])
     assert rc == 2
+
+
+@pytest.fixture
+def world3_file(tmp_path):
+    """An |H|=3 world: at the default slack its K is past the exact-law cap."""
+    rng = np.random.default_rng(1)
+    inst = random_instance(rng, n_concepts=3, n_symbols=3, n_hypotheses=3, m=1)
+    path = tmp_path / "world3.json"
+    path.write_text(json.dumps(problem_instance_to_json(inst)))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, config, key", [
+    (["code"], {"n": "abc"}, "n"),
+    (["code", "--n", "-3"], None, "n"),
+    (["code", "--n", "0"], None, "n"),
+    (["example1"], {"n_list": 5}, "n_list"),
+    (["coordinate"], {"trials": 0}, "trials"),
+    (["coordinate", "--n", "0"], None, "n"),
+    (["code", "--tv-trials", "0"], None, "tv_trials"),
+    (["code", "--tv-trials", "-1"], None, "tv_trials"),
+    (["compare-schemes"], {"rate_budget": "x"}, "rate_budget"),
+    (["compare-schemes"], {"compressors": 5}, "compressors"),
+    (["coordinate", "--slack", "nan"], None, "slack"),
+], ids=["code-n-abc", "code-n-neg", "code-n-0", "example1-n_list-5",
+        "coordinate-trials-0", "coordinate-n-0", "code-tv_trials-0",
+        "code-tv_trials-neg", "compare-rate_budget-x", "compare-compressors-5",
+        "coordinate-slack-nan"])
+def test_bad_settings_exit_2(tmp_path, world3_file, capsys, argv, config,
+                             key):
+    """A bad number or shape in a flag or config is a config error, no crash."""
+    if argv[0] != "example1":
+        argv = argv + ["--instance", world3_file]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"config error: /{key}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_numeric_settings_convert_like_int_and_float(tmp_path):
+    """Numbers written as strings in a config keep working."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"instances": "1", "epsilons": [0.0, 0.5]}))
+    out = tmp_path / "o"
+    assert main(["verify-bound", "--config", str(cfg), "--seed", "2",
+                 "--out", str(out)]) == 0
+    assert len(_rows(out / "verify-bound.csv")) == 4  # (1 + 1) x 2 budgets
+
+
+@pytest.mark.parametrize("argv", [
+    ["coordinate", "--with-oracle"],
+    ["compare-schemes", "--with-oracle"],
+    ["verify-bound", "--with-oracle"],
+    ["audit", "--with-oracle"],
+    ["rd-curve", "--seed", "1"],
+    ["compare-schemes", "--seed", "1"],
+], ids=lambda argv: f"{argv[0]}-{argv[1].lstrip('-')}")
+def test_flags_that_did_nothing_are_rejected(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+
+
+def test_bound_violation_writes_the_instance_and_exits_3(tmp_path, capsys,
+                                                         monkeypatch):
+    from beliefcomm import cli
+    from beliefcomm.errors import BoundViolationError
+
+    def violated(instance, *args, **kwargs):
+        raise BoundViolationError("distortion above ceiling",
+                                  instance_json=problem_instance_to_json(instance))
+
+    monkeypatch.setattr(cli, "verify_bound", violated)
+    out = tmp_path / "o"
+    assert main(["verify-bound", "--instances", "0", "--out", str(out)]) == 3
+    repro = out / "violation.json"
+    assert capsys.readouterr().err == (
+        "bound violated on alternating-world: distortion above ceiling; "
+        f"instance in {repro}\n")
+    assert json.loads(repro.read_text())["hypotheses"]
+    assert not (out / "verify-bound.csv").exists()

@@ -180,3 +180,27 @@ def test_verify_bound_clean_on_random_instances():
         assert all(r.ok for r in rows)
         assert len({r.r_star for r in rows}) == 1
         assert all(r.margin >= -1e-9 for r in rows)
+
+
+def test_verify_bound_solves_the_budget_zero_point_once(monkeypatch):
+    """A grid that starts at 0 reuses the reference solve: one solve per budget."""
+    from beliefcomm import schemes
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return solve(*args, **kwargs)
+
+    solve = schemes.solve_rd_with_prior
+    monkeypatch.setattr(schemes, "solve_rd_with_prior", counted)
+    inst = random_instance(np.random.default_rng(3), n_concepts=2,
+                           n_symbols=2, n_hypotheses=2, m=1)
+    q = fit(LearningRule.gibbs(1.0), inst)
+    grid = [0.0, 0.02, 0.05, 0.1]
+    rows = verify_bound(inst, q, q.marginal, grid)
+    assert len(calls) == len(grid)
+    assert sorted(calls) == grid
+    # the reused point is the one a fresh budget-zero solve returns
+    assert rows[0].rate == rows[0].r_star == \
+        solve(inst, q, 0.0, q.marginal, rate_tol=1e-8).rate
