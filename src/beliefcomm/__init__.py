@@ -43,7 +43,7 @@ from .channel_coding import (
     decode_batch,
     encode_mrc,
     decode_mrc,
-    code_per_symbol,
+    code_messages,
     induced_distribution_exact,
     single_shot_bounds,
     candidate_count,

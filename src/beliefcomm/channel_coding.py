@@ -18,9 +18,12 @@ evaluates whole blocks of streams at once with a numpy Philox kernel, and
 every draw is inverse-CDF sampling on those doubles. Equal seeds and paths
 give byte-identical draws; encoder and decoder share no mutable state.
 
-encode_batch / decode_batch code B targets at once, target b with K[b]
-candidates on stream path paths[b]; encode_mrc / decode_mrc are their
-batch-of-one wrappers.
+encode_batch / decode_batch are the one coder: they code B targets at once,
+target b (a symbol's belief, or a w-tuple of beliefs against the product
+prior) with K[b] candidates on stream path paths[b]. code_messages codes
+(T, m, w) dataset messages through them: per-symbol coding is w = 1, and a
+block of n symbols is one message of width n. encode_mrc / decode_mrc are
+the batch-of-one wrappers.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ _DOMAIN_DATA = 2
 DEFAULT_SLACK = 4.0
 DEFAULT_CANDIDATE_CAP = 2**22
 DEFAULT_BLOCK_CAP = 2**16
+# largest nominal tuple count |H|^K that induced_distribution_exact takes on
+_EXACT_LAW_CAP = 10**6
 
 # uniforms per kernel evaluation and per encoder chunk; bounds the working set
 _CHUNK = 2**13
@@ -117,14 +122,11 @@ class CommonRandomness:
     what its rows would tally coded one at a time.
     """
 
-    def __init__(self, seed: int, generator_id: str = GENERATOR_ID):
-        if generator_id != GENERATOR_ID:
-            raise ValueError(f"unknown generator_id {generator_id!r}")
+    def __init__(self, seed: int):
         seed = int(seed)
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed {seed} outside [0, 2^64)")
         self.seed = seed
-        self.generator_id = generator_id
         self.bits_consumed = 0
 
     def _key(self, domain: int, width: int) -> np.ndarray:
@@ -171,12 +173,9 @@ class CommonRandomness:
 
     def _uniforms_at(self, domain: int, paths: np.ndarray,
                      j: np.ndarray) -> np.ndarray:
-        """Uniform j[b, i] of stream paths[b], for a (B, m) position array."""
-        j = np.asarray(j, dtype=np.int64)
-        flat = j.ravel()
-        rows = np.repeat(np.arange(len(paths)), j.shape[1])
-        u = self._blocks(domain, paths, rows, flat // 4)
-        return u[np.arange(len(flat)), flat % 4].reshape(j.shape)
+        """Uniform j[b] of stream paths[b]."""
+        u = self._blocks(domain, paths, np.arange(len(paths)), j // 4)
+        return u[np.arange(len(j)), j % 4]
 
     def data_uniforms(self, paths, n: int) -> np.ndarray:
         """Uniforms 0..n-1 of each data stream paths[b], as a (B, n) array."""
@@ -218,27 +217,13 @@ class CodeRecord:
 
 @dataclass(frozen=True)
 class CodedBatch:
-    """Encoder output for B targets, one entry per row."""
+    """Encoder output for B targets, one entry per row; sample[b] is a
+    hypothesis index, or a (w,) index tuple for tuple targets."""
 
     index: np.ndarray
     sample: np.ndarray
     fallback: np.ndarray
     n_candidates: np.ndarray
-
-
-def _select(weights: np.ndarray, u: np.ndarray, k: np.ndarray):
-    """Selected candidate and fallback flag of each row of a weight block.
-
-    Row b picks i with probability weights[b, i] / total_b, by inverse CDF
-    on u[b]; a row whose weights are all zero falls back to the uniform
-    index floor(u[b] * k[b]). Columns at or past k[b] must carry zero weight.
-    """
-    cum = np.cumsum(weights, axis=1)
-    total = cum[:, -1]
-    fallback = total == 0.0
-    picked = np.count_nonzero(cum <= (u * total)[:, None], axis=1)
-    index = np.where(fallback, (u * k).astype(np.int64), picked)
-    return np.minimum(index, k - 1), fallback
 
 
 def _row_chunks(k: np.ndarray):
@@ -274,34 +259,52 @@ def encode_batch(Q, p: Distribution, n_candidates, cr: CommonRandomness,
                  paths) -> CodedBatch:
     """Encode row b of Q with n_candidates[b] proposals on stream paths[b].
 
-    Rows are coded in chunks of similar K: one kernel call draws a masked
-    candidate block for the chunk, and one selection uniform per row picks
-    a candidate in proportion to q/p. Every row must be absolutely
-    continuous w.r.t. the prior.
+    A (B, |H|) array codes one symbol per row. A (B, w, |H|) array codes a
+    w-tuple per row against the product prior: candidate c of row b is the
+    tuple at uniforms c*w .. c*w + w - 1 of its stream, and sample[b] is the
+    chosen tuple. Rows are coded in chunks of similar K: one kernel call
+    draws a masked candidate block for the chunk, and one selection uniform
+    per row picks a candidate in proportion to its importance weight, or
+    falls back to a uniform index when every weight is zero. Every target
+    must be absolutely continuous w.r.t. the prior.
     """
     Q = np.asarray(Q, dtype=float)
-    if Q.ndim != 2 or Q.shape[1] != len(p):
+    if Q.ndim not in (2, 3) or Q.shape[-1] != len(p):
         raise ValueError(f"targets of shape {Q.shape}, prior over {len(p)} symbols")
+    targets = Q if Q.ndim == 3 else Q[:, None, :]
+    w = targets.shape[1]
     k, paths = _batch_args(n_candidates, paths, len(Q))
     if np.any((Q > 0) & (p.probs == 0)):
         raise SupportViolationError("a target puts mass outside the prior's support")
     index = np.empty(len(Q), dtype=np.int64)
-    sample = np.empty(len(Q), dtype=np.int64)
+    sample = np.empty((len(Q), w), dtype=np.int64)
     fallback = np.empty(len(Q), dtype=bool)
     u_sel = cr._uniforms(_DOMAIN_SELECTION, paths, 1)[:, 0]
-    for rows in _row_chunks(k):
+    for rows in _row_chunks(k * w):
         kr = k[rows]
-        u = cr._uniforms(_DOMAIN_CANDIDATES, paths[rows], int(kr[-1]))
-        cands = inverse_cdf_sample(p.probs, u)
-        weights = Q[rows[:, None], cands] / p.probs[cands]
-        weights[np.arange(u.shape[1]) >= kr[:, None]] = 0.0
-        idx, fb = _select(weights, u_sel[rows], kr)
-        index[rows] = idx
+        u_cand = cr._uniforms(_DOMAIN_CANDIDATES, paths[rows], int(kr[-1]) * w)
+        cands = inverse_cdf_sample(p.probs, u_cand).reshape(len(rows), -1, w)
+        # a tuple weighs prod q / prod p; a symbol's q/p skips the products and
+        # the zero guard, which per-symbol batches would pay on every chunk
+        q = targets[rows[:, None, None], np.arange(w), cands]
+        if w == 1:
+            weights = q[..., 0] / p.probs[cands[..., 0]]
+        else:
+            num, den = np.prod(q, axis=2), np.prod(p.probs[cands], axis=2)
+            weights = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+        weights[np.arange(cands.shape[1]) >= kr[:, None]] = 0.0
+        # inverse CDF of the selection uniform u over the weights; a row whose
+        # weights are all zero falls back to the uniform index floor(u * K)
+        cum = np.cumsum(weights, axis=1)
+        u, total = u_sel[rows], cum[:, -1]
+        fallback[rows] = total == 0.0
+        idx = np.where(total == 0.0, (u * kr).astype(np.int64),
+                       np.count_nonzero(cum <= (u * total)[:, None], axis=1))
+        index[rows] = idx = np.minimum(idx, kr - 1)
         sample[rows] = cands[np.arange(len(rows)), idx]
-        fallback[rows] = fb
-    cr.tally(int(k.sum()) + len(k))
-    return CodedBatch(index=index, sample=sample, fallback=fallback,
-                      n_candidates=k)
+    cr.tally(int(k.sum()) * w + len(k))
+    return CodedBatch(index=index, sample=sample if Q.ndim == 3 else sample[:, 0],
+                      fallback=fallback, n_candidates=k)
 
 
 def decode_batch(index, p: Distribution, n_candidates, cr: CommonRandomness,
@@ -310,12 +313,14 @@ def decode_batch(index, p: Distribution, n_candidates, cr: CommonRandomness,
 
     Uses nothing the encoder computed: the counter-addressed stream gives
     direct access to the indexed proposal, so one uniform is drawn per row.
+    Symbol j of tuple c of a width-w encoder row is proposal c*w + j of
+    K*w on the same path.
     """
     index = np.asarray(index, dtype=np.int64).reshape(-1)
     k, paths = _batch_args(n_candidates, paths, len(index))
     if np.any((index < 0) | (index >= k)):
         raise ValueError("an index falls outside [0, K)")
-    u = cr._uniforms_at(_DOMAIN_CANDIDATES, paths, index[:, None])[:, 0]
+    u = cr._uniforms_at(_DOMAIN_CANDIDATES, paths, index)
     cr.tally(len(index))
     return inverse_cdf_sample(p.probs, u)
 
@@ -329,8 +334,6 @@ def encode_mrc(q: Distribution, p: Distribution, cr: CommonRandomness,
     drawn candidate has zero target mass the encoder falls back to a uniform
     index and flags the record.
     """
-    if n_candidates < 1:
-        raise ValueError("need at least one candidate")
     target_kl = kl_divergence(q, p)
     out = encode_batch(q.probs[None, :], p, [n_candidates], cr, [stream])
     return CodeRecord(
@@ -364,8 +367,6 @@ def decode_mrc(record, p: Distribution, cr: CommonRandomness,
         index = int(record)
         if n_candidates is None:
             raise ValueError("decoding a bare index needs n_candidates")
-    if not (0 <= index < n_candidates):
-        raise ValueError(f"index {index} outside [0, {n_candidates})")
     return int(decode_batch([index], p, [n_candidates], cr, [stream])[0])
 
 
@@ -378,8 +379,8 @@ def _compositions(total: int, parts: int):
             yield (first, *rest)
 
 
-def induced_distribution_exact(q: Distribution, p: Distribution, n_candidates: int,
-                               cap: int = 10**6) -> Distribution:
+def induced_distribution_exact(q: Distribution, p: Distribution,
+                               n_candidates: int) -> Distribution:
     """Exact output law of the coder, by enumerating candidate multisets.
 
     Orderings collapse into multinomial counts, so the sum runs over
@@ -388,9 +389,9 @@ def induced_distribution_exact(q: Distribution, p: Distribution, n_candidates: i
     precision.
     """
     n = len(p)
-    if n**n_candidates > cap:
+    if n**n_candidates > _EXACT_LAW_CAP:
         raise EnumerationCapError(
-            f"|H|^K = {n}^{n_candidates} exceeds cap {cap}; "
+            f"|H|^K = {n}^{n_candidates} exceeds cap {_EXACT_LAW_CAP}; "
             "use a sampled estimate instead"
         )
     ratio = np.where(p.probs > 0, q.probs / np.where(p.probs > 0, p.probs, 1.0), 0.0)
@@ -440,7 +441,9 @@ def single_shot_bounds(kl_bits: float) -> SingleShotBounds:
 def candidate_count(kl_bits: float, slack: float = DEFAULT_SLACK,
                     cap: int = DEFAULT_CANDIDATE_CAP) -> int:
     """Default proposal count ceil(2^(kl + slack))."""
-    k = math.ceil(2.0 ** (kl_bits + slack))
+    bits = kl_bits + slack
+    # a double overflows at 2^1024, far past any cap
+    k = math.ceil(2.0 ** bits) if bits < 1024 else math.inf
     if k > cap:
         raise EnumerationCapError(
             f"candidate count {k} exceeds cap {cap} at kl={kl_bits} bits"
@@ -456,99 +459,67 @@ class CodedSequence:
     mode: str
 
 
-def _distinct_targets(posterior: Posterior, prior: Distribution, datasets):
-    """Target rows and KL (bits) of the distinct datasets, and each entry's slot.
+def code_messages(posterior: Posterior, prior: Distribution, datasets,
+                  cr: CommonRandomness, trials, slack: float = DEFAULT_SLACK):
+    """Code a (T, m, w) array of dataset messages in one batch.
 
-    Rows are cleaned as Distributions and their divergence from the prior is
-    computed once per distinct dataset, however often it recurs.
+    Message j of row t is the w-tuple of beliefs posterior.rows[datasets[t, j]],
+    sent as one index on stream path (trials[t], j) and decoded from the
+    shared seed alone. Its K = ceil(2^(kl + slack)) counts the divergence kl
+    of the whole tuple, its positions' divergences added left to right, and
+    is capped at DEFAULT_CANDIDATE_CAP for a symbol (w = 1, per-symbol coding)
+    and DEFAULT_BLOCK_CAP for a wider tuple (a block). Returns the CodedBatch,
+    row t * m + j, the decoded (T, m, w) hypotheses and the (T, m) message
+    divergences in bits.
     """
     datasets = np.asarray(datasets, dtype=np.int64)
+    n_trials, m, w = datasets.shape
+    # clean target rows and divergences once per distinct dataset
     distinct, slot = np.unique(datasets, return_inverse=True)
+    slot = slot.reshape(datasets.shape)
     rows = np.array([Distribution(posterior.rows[s]).probs for s in distinct])
     rows = rows.reshape(len(distinct), len(prior))
     kl = np.array([kl_divergence(r, prior) for r in rows])
-    return rows, kl, slot.reshape(datasets.shape)
-
-
-def code_per_symbol(posterior: Posterior, prior: Distribution, datasets,
-                    cr: CommonRandomness, trials,
-                    slack: float = DEFAULT_SLACK,
-                    candidate_cap: int = DEFAULT_CANDIDATE_CAP):
-    """Per-symbol code a (T, n) block of dataset sequences in one batch.
-
-    Position i of row t codes posterior.rows[datasets[t, i]] with
-    K = ceil(2^(kl + slack)) candidates on stream path (trials[t], i), and is
-    decoded from the shared seed alone. Returns the trial-major CodedBatch,
-    the decoded (T, n) hypotheses and the (T, n) divergences in bits.
-    """
-    datasets = np.asarray(datasets, dtype=np.int64)
-    n_trials, n = datasets.shape
-    rows, kl, slot = _distinct_targets(posterior, prior, datasets)
-    k = np.array([candidate_count(x, slack, candidate_cap) for x in kl],
-                 dtype=np.int64)[slot].ravel()
-    paths = np.column_stack([np.repeat(np.asarray(trials, dtype=np.int64), n),
-                             np.tile(np.arange(n), n_trials)])
-    batch = encode_batch(rows[slot.ravel()], prior, k, cr, paths)
-    recon = decode_batch(batch.index, prior, k, cr, paths)
-    return batch, recon.reshape(n_trials, n), kl[slot]
+    msg_kl = sum(np.moveaxis(kl[slot], 2, 0))  # left to right, as sum() adds
+    # K once per distinct divergence; a symbol's are its distinct datasets'
+    values, which = (kl, slot.ravel()) if w == 1 else \
+        np.unique(msg_kl.ravel(), return_inverse=True)
+    cap = DEFAULT_CANDIDATE_CAP if w == 1 else DEFAULT_BLOCK_CAP
+    k = np.array([candidate_count(x, slack, cap) for x in values.tolist()],
+                 dtype=np.int64)[which]
+    paths = np.column_stack([np.repeat(np.asarray(trials, dtype=np.int64), m),
+                             np.tile(np.arange(m), n_trials)])
+    batch = encode_batch(rows[slot.reshape(-1, w)], prior, k, cr, paths)
+    recon = decode_batch((batch.index[:, None] * w + np.arange(w)).ravel(),
+                         prior, np.repeat(k * w, w), cr,
+                         np.repeat(paths, w, axis=0))
+    return batch, recon.reshape(n_trials, m, w), msg_kl
 
 
 def code_sequence(posterior: Posterior, prior: Distribution, dataset_seq,
                   cr: CommonRandomness, mode: str = "per_symbol",
-                  slack: float = DEFAULT_SLACK, trial: int = 0,
-                  candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-                  block_cap: int = DEFAULT_BLOCK_CAP) -> CodedSequence:
+                  slack: float = DEFAULT_SLACK, trial: int = 0) -> CodedSequence:
     """Code the belief for each dataset in the sequence.
 
-    per_symbol codes each position alone with K_i = ceil(2^(kl_i + slack)),
-    all positions in one batch; block draws whole candidate tuples against
-    the product prior and sends a single index. Position i uses stream path
-    (trial, i); block mode reads its K*n candidate uniforms from (trial, 0),
-    which makes a length-1 block coincide exactly with per_symbol coding.
+    per_symbol sends each position as its own message with
+    K_i = ceil(2^(kl_i + slack)); block sends the whole sequence as one
+    tuple message against the product prior, with K from the summed
+    divergence and a single index. Message j uses stream path (trial, j), so
+    a length-1 block coincides exactly with per_symbol coding.
     """
+    if mode not in ("per_symbol", "block"):
+        raise ValueError(f"unknown mode {mode!r}")
     seq = np.array([int(s) for s in dataset_seq], dtype=np.int64)
-    if mode == "per_symbol":
-        batch, recon, kl = code_per_symbol(posterior, prior, seq[None, :], cr,
-                                           [trial], slack, candidate_cap)
-        records = tuple(
-            CodeRecord(index=i, index_bits=math.log2(k), sample=smp,
-                       target_kl=d, n_candidates=k, fallback=fb)
-            for i, smp, d, k, fb in zip(
-                batch.index.tolist(), batch.sample.tolist(), kl[0].tolist(),
-                batch.n_candidates.tolist(), batch.fallback.tolist())
-        )
-        total = sum((r.index_bits for r in records), 0.0)
-        return CodedSequence(records, total, recon[0], mode)
-    if mode == "block":
-        rows, kl, slot = _distinct_targets(posterior, prior, seq)
-        n = len(seq)
-        total_kl = float(sum(kl[slot].tolist()))
-        k = math.ceil(2.0 ** (total_kl + slack))
-        if k > block_cap:
-            raise EnumerationCapError(
-                f"block candidate count {k} exceeds cap {block_cap}"
-            )
-        k = max(k, 1)
-        path = _as_paths([(trial, 0)])
-        cands = inverse_cdf_sample(
-            prior.probs, cr._uniforms(_DOMAIN_CANDIDATES, path, k * n).reshape(k, n))
-        num = np.prod(rows[slot][np.arange(n)[None, :], cands], axis=1)
-        den = np.prod(prior.probs[cands], axis=1)
-        weights = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-        u_sel = cr._uniforms(_DOMAIN_SELECTION, path, 1)[:, 0]
-        idx, fb = _select(weights[None, :], u_sel, np.array([k]))
-        cr.tally(k * n + 1)
-        index = int(idx[0])
-        sample = cands[index].copy()
-        rec = CodeRecord(
-            index=index, index_bits=math.log2(k),
-            sample=sample if n > 1 else int(sample[0]),
-            target_kl=total_kl, n_candidates=k, fallback=bool(fb[0]),
-        )
-        # decoder: regenerate the indexed tuple from the shared seed
-        u_dec = cr._uniforms_at(_DOMAIN_CANDIDATES, path,
-                                index * n + np.arange(n)[None, :])
-        cr.tally(n)
-        recon = inverse_cdf_sample(prior.probs, u_dec[0])
-        return CodedSequence((rec,), math.log2(k), recon, mode)
-    raise ValueError(f"unknown mode {mode!r}")
+    messages = seq.reshape((1, -1, 1) if mode == "per_symbol" else (1, 1, -1))
+    batch, recon, kl = code_messages(posterior, prior, messages, cr, [trial],
+                                     slack)
+    records = tuple(
+        CodeRecord(index=i, index_bits=math.log2(k),
+                   sample=smp[0] if len(smp) == 1 else np.array(smp),
+                   target_kl=d, n_candidates=k, fallback=fb)
+        for i, smp, d, k, fb in zip(
+            batch.index.tolist(), batch.sample.tolist(), kl[0].tolist(),
+            batch.n_candidates.tolist(), batch.fallback.tolist())
+    )
+    total = sum((r.index_bits for r in records), 0.0)
+    return CodedSequence(records, total, recon.reshape(-1), mode)

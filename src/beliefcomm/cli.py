@@ -170,7 +170,8 @@ def _get_sender(cfg):
 
 def _get_seed(cfg) -> int:
     seed = cfg.get("seed", 0)
-    if not isinstance(seed, int):
+    # bool is an int subclass, but true is no seed
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("/seed", "seed must be an integer")
     if not 0 <= seed < 2**64:
         raise ConfigError("/seed", f"seed {seed} outside [0, 2^64)")
@@ -249,7 +250,10 @@ def _cmd_code(cfg, with_oracle):
     s_seq = inverse_cdf_sample(instance.p_s, cr.data_stream(0).random(n))
     cr.tally(n)
     coded = code_sequence(q_alice, prior, s_seq, cr, mode=mode, slack=slack)
-    recs = [coded.records[i if mode == "per_symbol" else 0] for i in range(n)]
+    # message j carries positions msgs[j]: one each per symbol, all in a block
+    width = 1 if mode == "per_symbol" else n
+    msgs = np.arange(n).reshape(-1, width)
+    recs = [coded.records[i // width] for i in range(n)]
     row_dists = [Distribution(q_alice.rows[s]) for s in s_seq]
 
     def exact_law(row_dist, k):
@@ -265,31 +269,31 @@ def _cmd_code(cfg, with_oracle):
             check = (total_variation(ref, row_dist), diff, diff <= 1e-12)
         return tv, check
 
-    # positions that share a dataset and K share one law
+    # a symbol's exact law, shared by the positions with its dataset and K
     laws, tvs, oracle_rows = {}, {}, []
-    for i, (s, rec) in enumerate(zip(s_seq.tolist(), recs)):
-        key = (s, rec.n_candidates)
+    for i in range(n) if width == 1 else ():
+        key = (int(s_seq[i]), recs[i].n_candidates)
         if key not in laws:
-            laws[key] = exact_law(row_dists[i], rec.n_candidates)
+            laws[key] = exact_law(row_dists[i], recs[i].n_candidates)
         if laws[key] is None:
             continue
         tvs[i], check = laws[key]
         if check is not None:
             oracle_rows.append(("mrc_induced", f"position={i}", tvs[i], *check))
-    # Monte Carlo estimate where the exact law is out of reach: trial j of
-    # position i on stream (10**6 + j, i), all of them in one batch
-    mc = np.array([i for i in range(n) if i not in tvs], dtype=np.int64)
+    # a Monte Carlo estimate of every other message's per-position law: trial
+    # j of message m on stream (10**6 + j, m), all of them in one batch
+    mc = np.array([m for m, pos in enumerate(msgs) if pos[0] not in tvs],
+                  dtype=np.int64)
     if len(mc):
-        pos = np.tile(mc, tv_trials)
         paths = np.column_stack([10**6 + np.repeat(np.arange(tv_trials), len(mc)),
-                                 pos])
-        q_rows = np.array([row_dists[i].probs for i in mc])
-        k = np.array([recs[i].n_candidates for i in mc])
-        est = encode_batch(np.tile(q_rows, (tv_trials, 1)), prior,
-                           np.tile(k, tv_trials), cr, paths)
+                                 np.tile(mc, tv_trials)])
+        targets = np.array([d.probs for d in row_dists])[msgs[mc]]
+        est = encode_batch(np.tile(targets, (tv_trials, 1, 1)), prior,
+                           np.tile([coded.records[m].n_candidates for m in mc],
+                                   tv_trials), cr, paths)
         hits = np.zeros((n, len(prior)))
-        np.add.at(hits, (pos, est.sample), 1.0)
-        for i in mc.tolist():
+        np.add.at(hits, (np.tile(msgs[mc], (tv_trials, 1)), est.sample), 1.0)
+        for i in msgs[mc].ravel().tolist():
             tvs[i] = total_variation(hits[i] / tv_trials, row_dists[i])
     rows = [(i, kl_divergence(row_dists[i], prior), rec.n_candidates,
              rec.index_bits, tvs[i], rec.fallback) for i, rec in enumerate(recs)]

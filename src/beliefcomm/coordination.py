@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_coding import CommonRandomness, code_per_symbol, inverse_cdf_sample
+from .channel_coding import CommonRandomness, code_messages, inverse_cdf_sample
 from .errors import NormalizationError, SupportViolationError
 from .learning import Posterior, d_sem, d_sem_rows
 from .spaces import ProblemInstance, total_variation
@@ -138,9 +138,9 @@ class Example1Result:
     tv_max_position: float
 
 
-def alternating_schedule(n: int, n_hypotheses: int = 2) -> np.ndarray:
-    """One-hot rows h1, h0, h1, h0, ... (first position takes h1)."""
-    rows = np.zeros((n, n_hypotheses))
+def alternating_schedule(n: int) -> np.ndarray:
+    """One-hot rows over {h0, h1}: h1, h0, h1, h0, ... (first takes h1)."""
+    rows = np.zeros((n, 2))
     for i in range(n):
         rows[i, 1 if i % 2 == 0 else 0] = 1.0
     return rows
@@ -224,8 +224,9 @@ def simulate_strong(instance: ProblemInstance, q_target: Posterior, n: int,
         s_seq = inverse_cdf_sample(instance.p_s,
                                    cr.data_uniforms(block[:, None], n))
         cr.tally(s_seq.size)
-        batch, recon, _ = code_per_symbol(q_target, prior, s_seq, cr, block,
-                                          slack=slack)
+        batch, recon, _ = code_messages(q_target, prior, s_seq[..., None], cr,
+                                        block, slack=slack)
+        recon = recon[..., 0]
         np.add.at(counts, (np.broadcast_to(positions, s_seq.shape), s_seq,
                            recon), 1.0)
         bits = np.log2(batch.n_candidates)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import AlphabetMismatchError, ConfigError
-from .spaces import Distribution, ProblemInstance, _clean_probs
+from .spaces import Distribution, ProblemInstance, _clean_probs, _number
 
 ERM_TIE_TOL = 1e-12
 
@@ -68,24 +68,28 @@ class LearningRule:
         return LearningRule(kind="map_table", table=np.asarray(rows, dtype=float))
 
     @staticmethod
-    def from_json(obj: dict, pointer: str = "/rule") -> "LearningRule":
+    def from_json(obj: dict) -> "LearningRule":
+        """The rule of a config's "rule" object; errors point into /rule."""
         if not isinstance(obj, dict) or "rule" not in obj:
-            raise ConfigError(pointer, 'need an object with a "rule" key')
+            raise ConfigError("/rule", 'need an object with a "rule" key')
         kind = obj["rule"]
         if kind == "gibbs":
             if "beta" not in obj:
-                raise ConfigError(f"{pointer}/beta", "gibbs needs beta")
-            beta = float(obj["beta"])
+                raise ConfigError("/rule/beta", "gibbs needs beta")
+            beta = _number(obj["beta"], "/rule/beta")
             if beta < 0:
-                raise ConfigError(f"{pointer}/beta", "beta must be >= 0")
+                raise ConfigError("/rule/beta", "beta must be >= 0")
             return LearningRule.gibbs(beta)
         if kind == "erm":
             return LearningRule.erm()
         if kind == "map_table":
             if "rows" not in obj:
-                raise ConfigError(f"{pointer}/rows", "map_table needs rows")
-            return LearningRule.map_table(obj["rows"])
-        raise ConfigError(f"{pointer}/rule", f"unknown rule {kind!r}")
+                raise ConfigError("/rule/rows", "map_table needs rows")
+            try:
+                return LearningRule.map_table(obj["rows"])
+            except (TypeError, ValueError):
+                raise ConfigError("/rule/rows", "expected a table of numbers") from None
+        raise ConfigError("/rule/rule", f"unknown rule {kind!r}")
 
 
 def empirical_loss(belief, dataset: tuple[int, ...], concept: int,

@@ -349,12 +349,12 @@ def solve_rd_with_prior(instance: ProblemInstance, q_sender: Posterior, epsilon:
 
 
 def rd_curve(instance: ProblemInstance, q_sender: Posterior, epsilons,
-             prior: Distribution | None = None, **kwargs) -> RDCurve:
+             prior: Distribution | None = None) -> RDCurve:
     """Solve a whole increasing budget grid; prior=None means plain solve_rd."""
     pts = []
     for eps in epsilons:
         if prior is None:
-            pts.append(solve_rd(instance, q_sender, float(eps), **kwargs))
+            pts.append(solve_rd(instance, q_sender, float(eps)))
         else:
-            pts.append(solve_rd_with_prior(instance, q_sender, float(eps), prior, **kwargs))
+            pts.append(solve_rd_with_prior(instance, q_sender, float(eps), prior))
     return RDCurve(points=tuple(pts))

@@ -40,6 +40,9 @@ from .spaces import (
 
 LOG2 = math.log(2.0)
 CHAIN_RULE_TOL = 1e-8
+# slack of the distortion ceiling; rate tolerances of compare_schemes and
+# verify_bound's solves
+BOUND_TOL, _COMPARE_RATE_TOL, _VERIFY_RATE_TOL = 1e-9, 1e-6, 1e-8
 
 
 def distortion_rate_bound(delta_r_bits: float, l_max: float = 1.0) -> float:
@@ -167,7 +170,7 @@ def _conditional_mi_given_h(joint3: np.ndarray) -> float:
     return float(total)
 
 
-def _inverse_rate_lookup(instance, q_alice, budget, rate_tol, p0):
+def _inverse_rate_lookup(instance, q_alice, budget, p0):
     """Smallest budgeted distortion: min eps with rate(eps) <= budget; p0 is eps=0."""
     if p0.rate <= budget:
         return p0
@@ -176,12 +179,12 @@ def _inverse_rate_lookup(instance, q_alice, budget, rate_tol, p0):
     keep = p_s > 0
     eps_hi = float((p_s[keep] @ dmat[keep]).min()) - baseline  # rate hits 0 here
     lo, hi = 0.0, max(eps_hi, 1e-12)
-    pt_hi = solve_rd(instance, q_alice, hi, rate_tol=rate_tol)
+    pt_hi = solve_rd(instance, q_alice, hi, rate_tol=_COMPARE_RATE_TOL)
     for _ in range(60):
         if hi - lo < 1e-12 * max(1.0, hi):
             break
         mid = 0.5 * (lo + hi)
-        pt = solve_rd(instance, q_alice, mid, rate_tol=rate_tol)
+        pt = solve_rd(instance, q_alice, mid, rate_tol=_COMPARE_RATE_TOL)
         if pt.rate <= budget:
             hi, pt_hi = mid, pt
         else:
@@ -190,8 +193,8 @@ def _inverse_rate_lookup(instance, q_alice, budget, rate_tol, p0):
 
 
 def compare_schemes(instance: ProblemInstance, q_alice: Posterior,
-                    rule: LearningRule, rho, rate_budget: float | None = None,
-                    rate_tol: float = 1e-6) -> SchemeReport:
+                    rule: LearningRule, rho,
+                    rate_budget: float | None = None) -> SchemeReport:
     """Account both schemes through one compressor at a matched bottleneck.
 
     With no explicit budget, the bottleneck is what scheme 2 actually
@@ -215,9 +218,9 @@ def compare_schemes(instance: ProblemInstance, q_alice: Posterior,
 
     budget = mi_pair if rate_budget is None else float(rate_budget)
     infeasible = budget < -1e-12
-    p0 = solve_rd(instance, q_alice, 0.0, rate_tol=rate_tol)
+    p0 = solve_rd(instance, q_alice, 0.0, rate_tol=_COMPARE_RATE_TOL)
     point = p0 if infeasible else _inverse_rate_lookup(instance, q_alice, budget,
-                                                       rate_tol, p0)
+                                                       p0)
 
     q_bob2 = Posterior.from_rows(rows2[list(labels)], instance)
     dist2 = d_sem(q_alice, q_bob2, instance)
@@ -256,26 +259,26 @@ class BoundCheckRow:
 
     @property
     def ok(self) -> bool:
-        return self.measured <= self.bound + 1e-9
+        return self.measured <= self.bound + BOUND_TOL
 
 
 def verify_bound(instance: ProblemInstance, q_alice: Posterior,
-                 prior: Distribution, epsilon_grid, tol: float = 1e-9,
-                 rate_tol: float = 1e-8) -> list[BoundCheckRow]:
+                 prior: Distribution, epsilon_grid) -> list[BoundCheckRow]:
     """Check measured distortion against the rate-deficit ceiling, per budget.
 
     The reference rate is the budget-zero optimum under the given prior.
     Measured distortion is recomputed from the distortion definition, not
     read off the solver, so the check crosses two code paths. Any violation
-    beyond tol raises with the serialized instance attached.
+    beyond BOUND_TOL raises with the serialized instance attached.
     """
-    zero = solve_rd_with_prior(instance, q_alice, 0.0, prior, rate_tol=rate_tol)
+    zero = solve_rd_with_prior(instance, q_alice, 0.0, prior,
+                               rate_tol=_VERIFY_RATE_TOL)
     r_star = zero.rate
     rows = []
     for eps in epsilon_grid:
         # a budget of 0 is the reference point itself; the solve is deterministic
         point = zero if float(eps) == 0.0 else solve_rd_with_prior(
-            instance, q_alice, float(eps), prior, rate_tol=rate_tol)
+            instance, q_alice, float(eps), prior, rate_tol=_VERIFY_RATE_TOL)
         delta_r = max(r_star - point.rate, 0.0)
         bound = distortion_rate_bound(delta_r, instance.hypotheses.l_max)
         measured = d_sem(q_alice, point.q_tilde, instance)
@@ -283,9 +286,9 @@ def verify_bound(instance: ProblemInstance, q_alice: Posterior,
             epsilon=float(eps), rate=point.rate, r_star=r_star,
             delta_r=delta_r, bound=bound, measured=measured,
         )
-        if measured > bound + tol:
+        if measured > bound + BOUND_TOL:
             raise BoundViolationError(
-                f"distortion {measured} exceeds ceiling {bound} + {tol} at "
+                f"distortion {measured} exceeds ceiling {bound} + {BOUND_TOL} at "
                 f"eps={eps} (rate {point.rate}, reference {r_star})",
                 instance_json=problem_instance_to_json(instance),
             )

@@ -177,15 +177,16 @@ class ConceptSpace:
         return len(self.sample_names)
 
 
-def enumerate_datasets(n_symbols: int, m: int, cap: int = DEFAULT_ENUMERATION_CAP):
+def enumerate_datasets(n_symbols: int, m: int):
     """All length-m sample tuples in lexicographic order.
 
-    The count is n_symbols**m and is refused above ``cap``.
+    The count is n_symbols**m and is refused above DEFAULT_ENUMERATION_CAP.
     """
     count = n_symbols**m
-    if count > cap:
+    if count > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"enumerate_datasets: |Z|^m = {n_symbols}^{m} = {count} exceeds cap {cap}"
+            f"enumerate_datasets: |Z|^m = {n_symbols}^{m} = {count} exceeds cap "
+            f"{DEFAULT_ENUMERATION_CAP}"
         )
     return list(itertools.product(range(n_symbols), repeat=m))
 
@@ -207,8 +208,8 @@ class DatasetSpace:
     posterior: np.ndarray
 
     @staticmethod
-    def build(concepts: ConceptSpace, m: int, cap: int = DEFAULT_ENUMERATION_CAP) -> "DatasetSpace":
-        datasets = enumerate_datasets(concepts.n_symbols, m, cap=cap)
+    def build(concepts: ConceptSpace, m: int) -> "DatasetSpace":
+        datasets = enumerate_datasets(concepts.n_symbols, m)
         idx = np.array(datasets, dtype=int)  # (n_s, m)
         # log-free product; entries can be exactly zero
         cond = np.ones((concepts.n_concepts, len(datasets)))
@@ -235,12 +236,12 @@ class DatasetSpace:
     def n_datasets(self) -> int:
         return len(self.datasets)
 
-    def check_bayes_consistency(self, concepts: ConceptSpace, tol: float = 1e-12) -> float:
-        """Max abs gap of P_C(c) P(s|c) vs P_S(s) P(c|s); raises beyond tol."""
+    def check_bayes_consistency(self, concepts: ConceptSpace) -> float:
+        """Max abs gap of P_C(c) P(s|c) vs P_S(s) P(c|s); raises beyond 1e-12."""
         lhs = concepts.prior.probs[:, None] * self.conditional
         rhs = (self.marginal.probs[:, None] * self.posterior).T
         gap = float(np.max(np.abs(lhs - rhs)))
-        if gap > tol:
+        if gap > 1e-12:
             raise NormalizationError(f"Bayes consistency off by {gap}")
         return gap
 
@@ -294,9 +295,9 @@ class ProblemInstance:
         object.__setattr__(self, "true_loss_table", tl)
 
     @staticmethod
-    def build(concepts: ConceptSpace, hypotheses: HypothesisSpace, m: int,
-              cap: int = DEFAULT_ENUMERATION_CAP) -> "ProblemInstance":
-        return ProblemInstance(concepts, DatasetSpace.build(concepts, m, cap=cap), hypotheses)
+    def build(concepts: ConceptSpace, hypotheses: HypothesisSpace,
+              m: int) -> "ProblemInstance":
+        return ProblemInstance(concepts, DatasetSpace.build(concepts, m), hypotheses)
 
     @property
     def n_datasets(self) -> int:
@@ -321,6 +322,20 @@ def _need(obj: dict, key: str, pointer: str):
     return obj[key]
 
 
+def _names(obj: dict, key: str, pointer: str) -> list[str]:
+    names = _need(obj, key, pointer)
+    if not isinstance(names, list):
+        raise ConfigError(f"{pointer}/{key}", "need a list of names")
+    return [str(x) for x in names]
+
+
+def _number(value, pointer: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(pointer, f"expected a number, got {value!r}") from None
+
+
 def problem_instance_from_json(obj: dict, pointer: str = "") -> ProblemInstance:
     """Build an instance from a plain dict (the on-disk JSON layout).
 
@@ -338,8 +353,8 @@ def problem_instance_from_json(obj: dict, pointer: str = "") -> ProblemInstance:
         if not isinstance(c, dict) or "name" not in c or "prior" not in c:
             raise ConfigError(f"{pointer}/concepts/{i}", "need {{name, prior}}")
         names.append(str(c["name"]))
-        prior.append(float(c["prior"]))
-    samples = [str(s) for s in _need(obj, "samples", pointer)]
+        prior.append(_number(c["prior"], f"{pointer}/concepts/{i}/prior"))
+    samples = _names(obj, "samples", pointer)
     try:
         cs = ConceptSpace(
             concept_names=tuple(names),
@@ -352,7 +367,7 @@ def problem_instance_from_json(obj: dict, pointer: str = "") -> ProblemInstance:
     m = _need(obj, "m", pointer)
     if not isinstance(m, int) or m < 1:
         raise ConfigError(f"{pointer}/m", "m must be a positive integer")
-    hyp_names = [str(h) for h in _need(obj, "hypotheses", pointer)]
+    hyp_names = _names(obj, "hypotheses", pointer)
     try:
         hs = HypothesisSpace(
             hypothesis_names=tuple(hyp_names),

@@ -12,14 +12,14 @@ from .spaces import (
 )
 
 
-def two_hypothesis_world(m: int = 1) -> ProblemInstance:
+def two_hypothesis_world() -> ProblemInstance:
     """The minimal world behind the alternating-schedule walkthrough.
 
     One concept, two equiprobable sample symbols, and two hypotheses whose
     losses are constant in the data: h0 always scores 0, h1 always scores 1.
     A learner posting the uniform belief has expected loss 1/2 regardless of
     the dataset, so any reproduction row shifts semantic distortion by how
-    much mass it moves onto h1.
+    much mass it moves onto h1. Datasets are single samples (m = 1).
     """
     concepts = ConceptSpace(
         concept_names=("c0",),
@@ -32,7 +32,7 @@ def two_hypothesis_world(m: int = 1) -> ProblemInstance:
         loss=np.array([[[0.0, 0.0], [1.0, 1.0]]]),
         l_max=1.0,
     )
-    return ProblemInstance.build(concepts, hyps, m)
+    return ProblemInstance.build(concepts, hyps, 1)
 
 
 def random_instance(
@@ -41,15 +41,14 @@ def random_instance(
     n_symbols: int = 2,
     n_hypotheses: int = 2,
     m: int = 1,
-    l_max: float = 1.0,
     concentration: float = 1.0,
 ) -> ProblemInstance:
-    """Dirichlet priors and data laws, uniform losses on [0, l_max]."""
+    """Dirichlet priors and data laws, uniform losses on [0, 1]."""
     prior = rng.dirichlet(np.full(n_concepts, concentration))
     law = np.stack(
         [rng.dirichlet(np.full(n_symbols, concentration)) for _ in range(n_concepts)]
     )
-    loss = rng.uniform(0.0, l_max, size=(n_concepts, n_hypotheses, n_symbols))
+    loss = rng.uniform(0.0, 1.0, size=(n_concepts, n_hypotheses, n_symbols))
     concepts = ConceptSpace(
         concept_names=tuple(f"c{i}" for i in range(n_concepts)),
         sample_names=tuple(f"z{i}" for i in range(n_symbols)),
@@ -59,7 +58,6 @@ def random_instance(
     hyps = HypothesisSpace(
         hypothesis_names=tuple(f"h{i}" for i in range(n_hypotheses)),
         loss=loss,
-        l_max=l_max,
     )
     return ProblemInstance.build(concepts, hyps, m)
 

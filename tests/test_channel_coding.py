@@ -10,7 +10,6 @@ from beliefcomm import (
     CodeRecord,
     CommonRandomness,
     Distribution,
-    GENERATOR_ID,
     LearningRule,
     candidate_count,
     code_sequence,
@@ -50,12 +49,6 @@ def test_streams_differ_across_domains_and_paths():
     u_other = cr.candidate_stream(1).random(8)
     assert not np.array_equal(u_cand, u_sel)
     assert not np.array_equal(u_cand, u_other)
-
-
-def test_unknown_generator_id_is_rejected():
-    with pytest.raises(ValueError):
-        CommonRandomness(0, generator_id="mt19937/whatever")
-    assert CommonRandomness(0).generator_id == GENERATOR_ID
 
 
 def test_inverse_cdf_sample_cell_boundaries():
@@ -122,7 +115,7 @@ def test_induced_law_respects_cap():
     q = Distribution([0.9, 0.1])
     p = Distribution([0.5, 0.5])
     with pytest.raises(EnumerationCapError):
-        induced_distribution_exact(q, p, 25, cap=10**6)
+        induced_distribution_exact(q, p, 25)
 
 
 def test_encoder_frequencies_track_exact_law():
@@ -163,6 +156,9 @@ def test_candidate_count_values_and_cap():
     assert candidate_count(0.18872187554086714, slack=4.0) == 19
     with pytest.raises(EnumerationCapError):
         candidate_count(30.0)
+    # 2^(kl + slack) past the float range is over the cap, not an overflow
+    with pytest.raises(EnumerationCapError, match="exceeds cap 4194304"):
+        candidate_count(0.5, slack=1e6)
 
 
 def test_code_sequence_per_symbol_accounting():
@@ -210,9 +206,10 @@ def test_block_mode_bits_and_cap():
     assert len(coded.records) == 1
     assert coded.total_bits == pytest.approx(math.log2(expect_k))
     assert coded.reconstruction.shape == (3,)
-    with pytest.raises(EnumerationCapError):
+    # the block cap is 2^16 candidates, so 16 bits of slack reach it
+    with pytest.raises(EnumerationCapError, match="exceeds cap 65536"):
         code_sequence(post, prior, seq, CommonRandomness(9),
-                      mode="block", slack=2.0, block_cap=2)
+                      mode="block", slack=16.0)
     with pytest.raises(ValueError):
         code_sequence(post, prior, seq, CommonRandomness(9), mode="typical")
 
@@ -278,9 +275,10 @@ def test_kernel_uniforms_match_keyed_philox(seed, domain, paths, n):
     for row, path in zip(got, paths):
         ref = _contract_stream(seed, domain, path).random(n)
         np.testing.assert_array_equal(row, ref)
-    j = np.array([[0, n - 1, n // 3]] * len(paths))
-    at = cr._uniforms_at(domain, _as_paths(paths), j)
-    np.testing.assert_array_equal(at, got[:, [0, n - 1, n // 3]])
+    cols = [0, n - 1, n // 3]
+    at = cr._uniforms_at(domain, np.repeat(_as_paths(paths), 3, axis=0),
+                         np.tile(cols, len(paths)))
+    np.testing.assert_array_equal(at, got[:, cols].ravel())
 
 
 def test_kernel_uniforms_across_chunk_boundaries():
@@ -318,11 +316,29 @@ def _coding_batches(draw):
     return Distribution(p / p.sum()), np.array(q_rows), ks, paths
 
 
+def _tuple_reference(targets, p, k, seed, path):
+    """One row of the tuple coder, from the per-stream accessors: the chosen
+    index and tuple among K tuples drawn row-major from the candidate stream."""
+    cr = CommonRandomness(seed)
+    w = len(targets)
+    cands = inverse_cdf_sample(
+        p.probs, cr.candidate_stream(*path).random(k * w)).reshape(k, w)
+    weights = np.prod(targets[np.arange(w), cands], axis=1) \
+        / np.prod(p.probs[cands], axis=1)
+    cum = np.cumsum(weights)
+    u = cr.selection_stream(*path).random()
+    idx = int(u * k) if cum[-1] == 0 else int(np.count_nonzero(cum <= u * cum[-1]))
+    idx = min(idx, k - 1)
+    return idx, cands[idx]
+
+
 @_SETTINGS
-@given(seed=_WORD, case=_coding_batches())
-def test_batch_coder_matches_row_by_row(seed, case):
+@given(seed=_WORD, case=_coding_batches(), width=st.integers(2, 4))
+def test_batch_coder_matches_row_by_row(seed, case, width):
     """encode_batch / decode_batch agree with batch-of-one coding per row,
-    a fresh decoder recovers every sample, and the tallies add up."""
+    a fresh decoder recovers every sample, and the tallies add up; tuple
+    targets of width 1 code as plain rows, and wider tuples match a
+    row-at-a-time reference and decode symbol by symbol."""
     p, q_rows, ks, paths = case
     cr = CommonRandomness(seed)
     enc = encode_batch(q_rows, p, ks, cr, paths)
@@ -339,6 +355,28 @@ def test_batch_coder_matches_row_by_row(seed, case):
         assert decode_mrc(rec, p, single, stream=path) == dec[b]
         one_by_one += single.bits_consumed
     assert cr.bits_consumed == one_by_one
+
+    ones = encode_batch(q_rows[:, None, :], p, ks, CommonRandomness(seed), paths)
+    np.testing.assert_array_equal(ones.index, enc.index)
+    np.testing.assert_array_equal(ones.sample, enc.sample[:, None])
+    np.testing.assert_array_equal(ones.fallback, enc.fallback)
+    np.testing.assert_array_equal(ones.n_candidates, enc.n_candidates)
+
+    # position j of tuple b targets row (b + j) mod B
+    n_rows = len(q_rows)
+    targets = q_rows[(np.arange(n_rows)[:, None] + np.arange(width)) % n_rows]
+    cr_w, fresh = CommonRandomness(seed), CommonRandomness(seed)
+    tup = encode_batch(targets, p, ks, cr_w, paths)
+    assert tup.sample.shape == (n_rows, width)
+    for b, (k, path) in enumerate(zip(ks, paths)):
+        idx, sample = _tuple_reference(targets[b], p, k, seed, path)
+        assert tup.index[b] == idx
+        np.testing.assert_array_equal(tup.sample[b], sample)
+        symbols = decode_batch(tup.index[b] * width + np.arange(width), p,
+                               [k * width] * width, fresh, [path] * width)
+        np.testing.assert_array_equal(symbols, tup.sample[b])
+    assert cr_w.bits_consumed == 64 * (sum(ks) * width + n_rows)
+    assert fresh.bits_consumed == 64 * width * n_rows
 
 
 def test_batch_coder_fallback_rows_match_row_by_row():

@@ -1,6 +1,7 @@
 """CLI contracts: exit codes, CSV headers, manifests, reproducibility."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,3 +314,88 @@ def test_bound_violation_writes_the_instance_and_exits_3(tmp_path, capsys,
         f"instance in {repro}\n")
     assert json.loads(repro.read_text())["hypotheses"]
     assert not (out / "verify-bound.csv").exists()
+
+
+def _instance_with(instance_file, key, value, tmp_path):
+    obj = json.loads(Path(instance_file).read_text())
+    if key == "prior":
+        obj["concepts"][0]["prior"] = value
+    else:
+        obj[key] = value
+    path = tmp_path / "bad-instance.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, config, instance, expect", [
+    (["coordinate", "--slack", "1e6"], None, None, "cap 4194304"),
+    (["code", "--slack", "1e6"], None, None, "cap 4194304"),
+    (["code", "--mode", "block", "--slack", "1e6"], None, None, "cap 65536"),
+    (["code"], {"rule": {"rule": "gibbs", "beta": "x"}}, None, "/rule/beta"),
+    (["code"], {"rule": {"rule": "map_table", "rows": "x"}}, None,
+     "/rule/rows"),
+    (["code"], None, ("prior", "x"), "/concepts/0/prior"),
+    (["code"], None, ("samples", 5), "/samples"),
+    (["code"], None, ("hypotheses", 3), "/hypotheses"),
+    (["code"], {"seed": True}, None, "/seed"),
+], ids=["coordinate-slack-1e6", "code-slack-1e6", "block-slack-1e6",
+        "rule-beta-x", "rule-rows-x", "concept-prior-x", "samples-5",
+        "hypotheses-3", "seed-true"])
+def test_inputs_that_crashed_exit_2(tmp_path, instance_file, capsys, argv,
+                                    config, instance, expect):
+    """Each of these raised a traceback (or, for seed true, ran as seed 1)."""
+    if instance is not None:
+        instance_file = _instance_with(instance_file, *instance, tmp_path)
+    argv = argv + ["--instance", instance_file]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert expect in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_block_rows_report_the_block_coder(tmp_path):
+    """Block-mode TV is the block coder's per-position law, not a per-symbol
+    coder's at the block's K: each row lands within 0.01 of the exact law,
+    from the tuple-recursion oracle on the product alphabet, marginalised."""
+    from itertools import product
+
+    from beliefcomm import (CommonRandomness, Distribution, LearningRule, fit,
+                            mrc_enumeration_oracle, total_variation)
+    from beliefcomm.channel_coding import inverse_cdf_sample
+
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(4)))
+    inst = random_instance(rng, n_concepts=3, n_symbols=3, n_hypotheses=2,
+                           m=1, concentration=0.3)
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(problem_instance_to_json(inst)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"rule": {"rule": "gibbs", "beta": 8.0}}))
+    out = tmp_path / "o"
+    assert main(["code", "--instance", str(path), "--config", str(cfg),
+                 "--n", "3", "--mode", "block", "--slack", "0", "--seed", "4",
+                 "--tv-trials", "20000", "--out", str(out)]) == 0
+    rows = _rows(out / "code.csv")
+    k = int(rows[0][2])
+    assert k == 4 and all(int(r[2]) == k for r in rows)
+
+    # the coded datasets: data stream 0 of seed 4, as the CLI draws them
+    q = fit(LearningRule.gibbs(8.0), inst)
+    s_seq = inverse_cdf_sample(inst.p_s,
+                               CommonRandomness(4).data_stream(0).random(3))
+    targets = [q.rows[s] for s in s_seq]
+    prior = q.marginal.probs
+    tuples = list(product(range(2), repeat=3))
+    joint = mrc_enumeration_oracle(
+        Distribution([np.prod([t[h] for t, h in zip(targets, hs)])
+                      for hs in tuples]),
+        Distribution([np.prod(prior[list(hs)]) for hs in tuples]), k)
+    for i, row in enumerate(rows):
+        marginal = np.zeros(2)
+        for hs, mass in zip(tuples, joint.probs):
+            marginal[hs[i]] += mass
+        exact = total_variation(marginal, targets[i])
+        assert abs(float(row[4]) - exact) <= 0.01, (i, row[4], exact)

@@ -100,7 +100,7 @@ def test_enumerate_datasets_lexicographic():
 
 def test_enumerate_datasets_cap():
     with pytest.raises(EnumerationCapError):
-        enumerate_datasets(10, 8, cap=10**6)
+        enumerate_datasets(10, 8)
 
 
 def test_dataset_space_product_law():
