@@ -185,7 +185,10 @@ def _get_prior(cfg, posterior, n_hypotheses) -> Distribution:
     if spec == "uniform":
         return Distribution.uniform(n_hypotheses)
     if isinstance(spec, list):
-        return Distribution(spec)
+        try:
+            return Distribution(spec)
+        except (TypeError, ValueError) as e:
+            raise ConfigError("/prior", f"bad prior: {e}") from None
     if isinstance(spec, str):
         path = Path(spec)
         if not path.is_file():
@@ -203,6 +206,8 @@ def _epsilon_grid(cfg, l_max: float):
         eps = [round(l_max * k / 8.0, 12) for k in range(9)]
     if not isinstance(eps, list) or not all(isinstance(e, (int, float)) for e in eps):
         raise ConfigError("/epsilons", "need a list of numbers")
+    if not all(math.isfinite(e) for e in eps):
+        raise ConfigError("/epsilons", "budgets must be finite")
     if any(b <= a for a, b in zip(eps, eps[1:])):
         raise ConfigError("/epsilons", "grid must be strictly increasing")
     if eps and eps[0] < 0:

@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import AlphabetMismatchError, ConfigError
-from .spaces import Distribution, ProblemInstance, _clean_probs, _number
+from .spaces import (Distribution, ProblemInstance, _clean_rows,
+                     _logsumexp_rows, _number)
 
 ERM_TIE_TOL = 1e-12
 
@@ -40,7 +40,7 @@ class Posterior:
                 f"Posterior rows shape {r.shape}, expected "
                 f"({instance.n_datasets}, {instance.n_hypotheses})"
             )
-        r = np.stack([_clean_probs(row, f"posterior row {s}") for s, row in enumerate(r)])
+        r = _clean_rows(r, "posterior row")
         r.setflags(write=False)
         return Posterior(rows=r, marginal=Distribution(instance.p_s @ r))
 
@@ -132,7 +132,7 @@ def fit(rule: LearningRule, instance: ProblemInstance) -> Posterior:
     m = instance.dataset_space.m
     if rule.kind == "gibbs":
         logits = -rule.beta * m * scores
-        rows = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
+        rows = np.exp(logits - _logsumexp_rows(logits)[:, None])
         return Posterior.from_rows(rows, instance)
     if rule.kind == "erm":
         rows = np.zeros((n_s, n_h))

@@ -25,11 +25,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp, rel_entr
+from scipy.special import rel_entr
 
 from .errors import ConvergenceError, InvariantViolationError, SupportViolationError
 from .learning import Posterior, effective_distortion_matrix
-from .spaces import Distribution, ProblemInstance
+from .spaces import Distribution, ProblemInstance, _logsumexp_rows
 
 LOG2 = math.log(2.0)
 
@@ -114,11 +114,12 @@ def kl_rate(q_tilde: Posterior, prior: Distribution, instance: ProblemInstance) 
 
 
 def _kl_bits(p: np.ndarray, q: np.ndarray, ref: np.ndarray) -> float:
-    """E_S D(q(.|s) || ref) in bits over weights p, summed row by row."""
-    total = 0.0
-    for s in range(q.shape[0]):
-        total += p[s] * float(rel_entr(q[s], ref).sum())
-    return total / LOG2
+    """E_S D(q(.|s) || ref) in bits over weights p.
+
+    The weighted row divergences are added left to right, as a loop over the
+    rows would add them.
+    """
+    return float(sum(p * rel_entr(q, ref).sum(axis=1))) / LOG2
 
 
 def _ba_lagrangian(p, dmat, sigma, tol_gap_nats):
@@ -174,7 +175,7 @@ def _ba_lagrangian(p, dmat, sigma, tol_gap_nats):
 
 def _setup(instance, q_sender, epsilon):
     """Weights, distortion rows and baseline over the positive-mass datasets."""
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     dmat, baseline = effective_distortion_matrix(instance, q_sender)
     keep = instance.p_s > 0
@@ -337,7 +338,7 @@ def solve_rd_with_prior(instance: ProblemInstance, q_sender: Posterior, epsilon:
     def run(slope_bits):
         sigma = slope_bits * LOG2
         a = log_prior[None, :] - sigma * dk
-        log_z = logsumexp(a, axis=1)
+        log_z = _logsumexp_rows(a)
         q = np.exp(a - log_z[:, None])
         delta = float(np.einsum("s,sh,sh->", p, q, dk)) - baseline
         # exact Lagrangian minimum at this slope

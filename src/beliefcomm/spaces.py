@@ -4,7 +4,11 @@ Everything downstream works over three coupled finite alphabets: concepts
 (latent tasks), datasets (tuples of observed samples), and hypotheses
 (models a learner can output). This module owns the immutable containers
 for those alphabets plus total variation, KL divergence, and mutual
-information, all in bits.
+information, all in bits. It also holds the package's one log-sum-exp over
+rows (_logsumexp_rows), which the closed-form solver and the gibbs learner
+share, and its one validator of probability rows (_clean_rows), which every
+posterior and data law goes through. (The Blahut-Arimoto loop in
+rate_distortion keeps its own max-shifted reductions: their bits differ.)
 """
 
 from __future__ import annotations
@@ -51,6 +55,49 @@ def _clean_probs(values, what: str) -> np.ndarray:
     p = p.copy()
     p.setflags(write=False)
     return p
+
+
+def _clean_rows(values, what: str) -> np.ndarray:
+    """A matrix of probability rows, each checked as _clean_probs checks it.
+
+    The whole matrix is checked at once; if any row fails, the rows are
+    cleaned one by one, so the first bad row raises with its index appended
+    to what ("posterior row 3"). Only a row whose sum is not exactly 1.0 is
+    divided by it. Returns a new writable array.
+    """
+    r = np.array(values, dtype=float, order="C")
+    if r.ndim == 2 and r.size:
+        sums = r.sum(axis=1)
+        # NaN and -inf fail r >= 0; +inf makes its row sum inf
+        if (r >= 0).all() and (np.abs(sums - 1.0) < RENORM_LIMIT).all():
+            off = sums != 1.0
+            if off.any():
+                r[off] /= sums[off, None]
+            return r
+    return np.stack([_clean_probs(row, f"{what} {i}") for i, row in enumerate(r)])
+
+
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of a 2-d array, bit for bit as scipy computes it.
+
+    This is the formula of scipy.special.logsumexp (scipy 1.17), after
+    Blanchard, Higham & Higham 2021: the entries equal to the row max a_max,
+    m of them, are taken out of the sum s of exp(a - a_max) over the rest, and
+    the result is log1p(s / m) + log(m) + a_max, falling back to
+    log(sum(exp(a))) where that is not finite (an all -inf row gives -inf).
+    Spelled out here because scipy's array-API dispatch costs more than the
+    arithmetic on the small matrices the solvers pass.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(axis=1, keepdims=True)
+        top = a == a_max
+        m = top.sum(axis=1, dtype=float)
+        s = np.exp(np.where(top, -np.inf, a) - a_max).sum(axis=1)
+        out = np.log1p(s / m) + np.log(m) + a_max[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -162,7 +209,7 @@ class ConceptSpace:
                 f"data_law shape {law.shape} does not match "
                 f"{len(self.concept_names)} concepts x {len(self.sample_names)} samples"
             )
-        rows = np.stack([_clean_probs(r, f"data_law row {i}") for i, r in enumerate(law)])
+        rows = _clean_rows(law, "data_law row")
         rows.setflags(write=False)
         object.__setattr__(self, "data_law", rows)
         if len(self.prior) != len(self.concept_names):
@@ -215,13 +262,11 @@ class DatasetSpace:
         cond = np.ones((concepts.n_concepts, len(datasets)))
         for j in range(m):
             cond *= concepts.data_law[:, idx[:, j]]
-        marg = concepts.prior.probs @ cond
-        post = np.empty((len(datasets), concepts.n_concepts))
-        for s in range(len(datasets)):
-            if marg[s] > 0:
-                post[s] = concepts.prior.probs * cond[:, s] / marg[s]
-            else:
-                post[s] = concepts.prior.probs
+        prior = concepts.prior.probs
+        marg = prior @ cond
+        post = np.divide(prior * cond.T, marg[:, None],
+                         out=np.tile(prior, (len(datasets), 1)),
+                         where=marg[:, None] > 0)
         cond.setflags(write=False)
         post.setflags(write=False)
         return DatasetSpace(

@@ -399,3 +399,33 @@ def test_block_rows_report_the_block_coder(tmp_path):
             marginal[hs[i]] += mass
         exact = total_variation(marginal, targets[i])
         assert abs(float(row[4]) - exact) <= 0.01, (i, row[4], exact)
+
+
+@pytest.mark.parametrize("argv, config, key", [
+    (["rd-curve", "--epsilons", "0,nan"], None, "epsilons"),
+    (["rd-curve", "--epsilons", "0,inf"], None, "epsilons"),
+    (["verify-bound", "--epsilons", "0,nan"], None, "epsilons"),
+    (["verify-bound", "--epsilons", "0,inf"], None, "epsilons"),
+    (["rd-curve"], {"prior": [0.5, "x"]}, "prior"),
+    (["code"], {"prior": [0.5, "x"]}, "prior"),
+    (["verify-bound"], {"prior": [0.5, "x"]}, "prior"),
+    (["rd-curve"], {"prior": [0.5, 0.6]}, "prior"),
+], ids=["rd-curve-nan", "rd-curve-inf", "verify-bound-nan", "verify-bound-inf",
+        "rd-curve-prior-x", "code-prior-x", "verify-bound-prior-x",
+        "rd-curve-prior-sum"])
+def test_bad_budgets_and_priors_exit_2(tmp_path, instance_file, capsys, argv,
+                                       config, key):
+    """A non-finite budget ran to the slope cap (nan, exit 3) or wrote an inf
+    row (exit 0); a list prior with a non-number crashed with a traceback."""
+    if argv[0] == "verify-bound":
+        argv = argv + ["--instances", "1"]
+    else:
+        argv = argv + ["--instance", instance_file]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    out = tmp_path / "o"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert f"config error: /{key}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()

@@ -17,7 +17,7 @@ from beliefcomm import (
     random_rows,
     two_hypothesis_world,
 )
-from beliefcomm.errors import ConfigError
+from beliefcomm.errors import ConfigError, NormalizationError
 from beliefcomm.learning import dataset_scores, empirical_loss, true_loss
 
 
@@ -165,3 +165,28 @@ def test_map_table_rejects_bad_shape():
     w = two_hypothesis_world()
     with pytest.raises(AlphabetMismatchError):
         fit(LearningRule.map_table(np.ones((3, 2)) / 2.0), w)
+
+
+@pytest.mark.parametrize("bad", [[1.1, -0.1], [np.nan, 0.5], [0.6, 0.5]],
+                         ids=["negative", "nan", "sums-to-1.1"])
+def test_posterior_rows_name_the_first_bad_row(bad):
+    inst = random_instance(_rng(3), n_concepts=2, n_symbols=4, n_hypotheses=2,
+                           m=1)
+    rows = np.full((inst.n_datasets, 2), 0.5)
+    rows[1] = bad
+    rows[3] = [2.0, 2.0]
+    with pytest.raises(NormalizationError, match=r"^posterior row 1: "):
+        Posterior.from_rows(rows, inst)
+
+
+def test_posterior_rows_renormalise_a_small_drift():
+    inst = random_instance(_rng(3), n_concepts=2, n_symbols=4, n_hypotheses=2,
+                           m=1)
+    rows = np.full((inst.n_datasets, 2), 0.5)
+    rows[2] = [0.5, 0.5 + 8e-10]
+    q = Posterior.from_rows(rows, inst)
+    np.testing.assert_array_equal(q.rows[2], rows[2] / rows[2].sum())
+    assert abs(q.rows[2].sum() - 1.0) <= 2**-52
+    np.testing.assert_array_equal(np.delete(q.rows, 2, axis=0), 0.5)
+    assert rows[2, 1] == 0.5 + 8e-10  # the caller's array is left alone
+    assert not q.rows.flags.writeable

@@ -1,7 +1,13 @@
 """Rate-distortion solvers: identities, invariants, and oracle agreement."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import rel_entr
 
 from beliefcomm import (
     Distribution,
@@ -21,6 +27,7 @@ from beliefcomm import (
     two_hypothesis_world,
 )
 from beliefcomm.errors import InvariantViolationError, SupportViolationError
+from beliefcomm.rate_distortion import _kl_bits
 from conftest import philox_rng as _rng, sharp_sender as _sharp_sender
 
 
@@ -106,6 +113,16 @@ def test_negative_epsilon_rejected():
         solve_rd(w, q, -0.01)
 
 
+def test_nan_epsilon_rejected():
+    """A NaN budget used to bracket the slope all the way to SLOPE_MAX."""
+    w = two_hypothesis_world()
+    q = Posterior.from_rows(np.full((2, 2), 0.5), w)
+    with pytest.raises(ValueError, match="epsilon must be >= 0"):
+        solve_rd(w, q, float("nan"))
+    with pytest.raises(ValueError, match="epsilon must be >= 0"):
+        solve_rd_with_prior(w, q, float("nan"), Distribution.uniform(2))
+
+
 def test_prior_solver_infinite_rate_raises():
     inst, q, _ = _sharp_sender(5)
     # a prior with a dead hypothesis cannot reproduce rows that need it
@@ -169,3 +186,29 @@ def test_rd_curve_rejects_unsorted_budgets():
     inst, q, _ = _sharp_sender(9)
     with pytest.raises(InvariantViolationError):
         rd_curve(inst, q, [0.2, 0.1])
+
+
+def _kl_bits_one_by_one(p, q, ref):
+    """The row loop _kl_bits replaces."""
+    total = 0.0
+    for s in range(q.shape[0]):
+        total += p[s] * float(rel_entr(q[s], ref).sum())
+    return total / math.log(2.0)
+
+
+_CELLS = st.sampled_from([0.0, 0.0, 1e-3, 0.1, 0.3, 0.5, 1.0, 7.0])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(n_s=st.integers(1, 12), n_h=st.integers(1, 9), data=st.data())
+def test_kl_bits_matches_the_row_loop(n_s, n_h, data):
+    """Expected divergence to the bit, dead cells and leaking rows included."""
+    p = data.draw(hnp.arrays(float, n_s, elements=st.floats(1e-6, 1.0)))
+    q = data.draw(hnp.arrays(float, (n_s, n_h), elements=_CELLS))
+    ref = data.draw(hnp.arrays(float, n_h, elements=_CELLS))
+    q[q.sum(axis=1) == 0] = 1.0
+    q /= q.sum(axis=1, keepdims=True)
+    ref = (ref + (ref.sum() == 0)) / (ref + (ref.sum() == 0)).sum()
+    got = _kl_bits(p / p.sum(), q, ref)
+    want = _kl_bits_one_by_one(p / p.sum(), q, ref)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()

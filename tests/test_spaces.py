@@ -1,9 +1,14 @@
 """Alphabets, distributions, and the induced dataset space."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp
 
 from beliefcomm import (
     Distribution,
@@ -22,6 +27,9 @@ from beliefcomm.errors import (
 from beliefcomm.spaces import (
     ConceptSpace,
     DatasetSpace,
+    _clean_probs,
+    _clean_rows,
+    _logsumexp_rows,
     enumerate_datasets,
     problem_instance_from_json,
     problem_instance_to_json,
@@ -149,3 +157,134 @@ def test_instance_json_pointer_errors():
     with pytest.raises(ConfigError) as err:
         problem_instance_from_json(bad)
     assert "/m" in str(err.value)
+
+
+# property tests: each whole-matrix fast path against the slow path it replaces
+
+_SETTINGS = settings(derandomize=True, deadline=None, max_examples=200)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@_SETTINGS
+@given(a=hnp.arrays(
+    float, st.tuples(st.integers(1, 5), st.integers(1, 6)),
+    elements=st.one_of(st.floats(-800.0, 800.0), st.just(-np.inf),
+                       st.sampled_from([0.0, 1.0, -2.5]))),
+    dead_row=st.booleans())
+def test_logsumexp_rows_matches_scipy_bit_for_bit(a, dead_row):
+    """Ties, -inf entries and all -inf rows give scipy's exact bits."""
+    if dead_row:
+        a[0] = -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # scipy is silent on every one of these
+        got = _logsumexp_rows(a)
+    assert _bits(got) == _bits(logsumexp(a, axis=1))
+
+
+def _rows_one_by_one(values, what):
+    """The per-row validation _clean_rows replaces."""
+    r = np.asarray(values, dtype=float)
+    return np.stack([_clean_probs(row, f"{what} {i}") for i, row in enumerate(r)])
+
+
+@st.composite
+def _probability_rows(draw):
+    """Normalised rows, some drifted, rescaled, negative, NaN or infinite."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    raw = draw(hnp.arrays(float, (n, k), elements=st.sampled_from(
+        [0.0, 0.1, 0.25, 1.0 / 3.0, 0.7, 1.0, 2.0])))
+    raw[raw.sum(axis=1) == 0] = 1.0
+    rows = raw / raw.sum(axis=1, keepdims=True)
+    for i in range(n):
+        kind = draw(st.sampled_from(["ok", "ok", "ok", "drift", "scale",
+                                     "negative", "nan", "inf"]))
+        j = draw(st.integers(0, k - 1))
+        if kind == "drift":
+            rows[i, j] += draw(st.floats(-9e-10, 9e-10))
+        elif kind == "scale":
+            rows[i] *= 1.1
+        elif kind == "negative":
+            rows[i, j] = -0.1
+        elif kind == "nan":
+            rows[i, j] = np.nan
+        elif kind == "inf":
+            rows[i, j] = np.inf
+    return np.asfortranarray(rows) if draw(st.booleans()) else rows
+
+
+@_SETTINGS
+@given(rows=_probability_rows())
+def test_clean_rows_matches_row_by_row(rows):
+    """Same rows to the bit, or the same exception on the first bad row."""
+    before = rows.copy()
+    try:
+        ref = _rows_one_by_one(rows, "row")
+    except NormalizationError as e:
+        with pytest.raises(NormalizationError) as got:
+            _clean_rows(rows, "row")
+        assert str(got.value) == str(e)
+        return
+    got = _clean_rows(rows, "row")
+    assert got.shape == ref.shape and _bits(got) == _bits(ref)
+    assert not np.shares_memory(got, rows)
+    assert _bits(rows) == _bits(before)
+
+
+def _posterior_one_by_one(prior, cond, marg):
+    """Bayes row by row, as DatasetSpace.build computed it before."""
+    post = np.empty((cond.shape[1], prior.size))
+    for s in range(cond.shape[1]):
+        if marg[s] > 0:
+            post[s] = prior * cond[:, s] / marg[s]
+        else:
+            post[s] = prior
+    return post
+
+
+_WEIGHTS = st.sampled_from([0.0, 0.0, 0.2, 0.5, 1.0, 3.0])
+
+
+@_SETTINGS
+@given(n_c=st.integers(1, 3), n_z=st.integers(1, 3), m=st.integers(1, 3),
+       data=st.data())
+def test_dataset_posterior_matches_row_by_row(n_c, n_z, m, data):
+    """The broadcast Bayes rows equal the loop's, zero-mass datasets too."""
+    prior = data.draw(hnp.arrays(float, n_c, elements=_WEIGHTS))
+    law = data.draw(hnp.arrays(float, (n_c, n_z), elements=_WEIGHTS))
+    prior = prior + (prior.sum() == 0)
+    law[law.sum(axis=1) == 0] = 1.0
+    cs = ConceptSpace(
+        concept_names=tuple(f"c{i}" for i in range(n_c)),
+        sample_names=tuple(f"z{j}" for j in range(n_z)),
+        prior=Distribution(prior / prior.sum()),
+        data_law=law / law.sum(axis=1, keepdims=True),
+    )
+    space = DatasetSpace.build(cs, m)
+    # Bayes divides by the raw marginal, before Distribution renormalises it
+    ref = _posterior_one_by_one(cs.prior.probs, space.conditional,
+                                cs.prior.probs @ space.conditional)
+    assert _bits(space.posterior) == _bits(ref)
+
+
+def test_zero_mass_datasets_get_the_prior():
+    cs = ConceptSpace(
+        concept_names=("c0", "c1"),
+        sample_names=("z0", "z1"),
+        prior=Distribution([0.25, 0.75]),
+        data_law=np.array([[1.0, 0.0], [0.5, 0.5]]),
+    )
+    space = DatasetSpace.build(cs, m=1)
+    np.testing.assert_array_equal(space.posterior[0], [0.4, 0.6])
+    np.testing.assert_array_equal(space.posterior[1], [0.0, 1.0])
+    cs = ConceptSpace(
+        concept_names=("c0", "c1"),
+        sample_names=("z0", "z1"),
+        prior=Distribution([1.0, 0.0]),
+        data_law=np.array([[1.0, 0.0], [0.5, 0.5]]),
+    )
+    space = DatasetSpace.build(cs, m=1)
+    assert space.marginal.probs[1] == 0.0
+    np.testing.assert_array_equal(space.posterior[1], [1.0, 0.0])
