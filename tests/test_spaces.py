@@ -273,15 +273,6 @@ def test_zero_mass_datasets_get_the_prior():
     cs = ConceptSpace(
         concept_names=("c0", "c1"),
         sample_names=("z0", "z1"),
-        prior=Distribution([0.25, 0.75]),
-        data_law=np.array([[1.0, 0.0], [0.5, 0.5]]),
-    )
-    space = DatasetSpace.build(cs, m=1)
-    np.testing.assert_array_equal(space.posterior[0], [0.4, 0.6])
-    np.testing.assert_array_equal(space.posterior[1], [0.0, 1.0])
-    cs = ConceptSpace(
-        concept_names=("c0", "c1"),
-        sample_names=("z0", "z1"),
         prior=Distribution([1.0, 0.0]),
         data_law=np.array([[1.0, 0.0], [0.5, 0.5]]),
     )
