@@ -32,10 +32,9 @@ def main():
     hdr = f"{'compressor':>12s} {'I(S;pair)':>10s} {'I(S;H2)':>8s} " \
           f"{'residual':>9s} {'d1':>8s} {'d2':>8s}"
     print(hdr)
-    reports = []
-    for rho in enumerate_compressors(inst.n_datasets):
-        rep = compare_schemes(inst, q, rule, rho)
-        reports.append(rep)
+    reports = compare_schemes(inst, q, rule,
+                              enumerate_compressors(inst.n_datasets))
+    for rep in reports:
         label = "|".join(str(c) for c in rep.compressor)
         print(f"{label:>12s} {rep.mi_model:10.4f} {rep.mi_model2:8.4f} "
               f"{rep.mi_residual:9.4f} {rep.measured_distortion:8.4f} "

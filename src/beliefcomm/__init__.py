@@ -28,6 +28,7 @@ from .learning import (
 from .rate_distortion import (
     RDPoint,
     RDCurve,
+    solve_dr,
     solve_rd,
     solve_rd_with_prior,
     rd_curve,

@@ -141,6 +141,9 @@ def _setting(cfg, key: str, default):
     val = cfg.get(key, default)
     if val is None and default is None:
         return None
+    # bool is an int subclass, but true is no number
+    if isinstance(val, bool):
+        raise ConfigError(f"/{key}", f"expected a number, got {val!r}")
     try:
         x = kind(val)
     except (TypeError, ValueError, OverflowError):
@@ -185,6 +188,8 @@ def _get_prior(cfg, posterior, n_hypotheses) -> Distribution:
     if spec == "uniform":
         return Distribution.uniform(n_hypotheses)
     if isinstance(spec, list):
+        if any(isinstance(x, bool) for x in spec):
+            raise ConfigError("/prior", "bad prior: booleans are not probabilities")
         try:
             return Distribution(spec)
         except (TypeError, ValueError) as e:
@@ -204,7 +209,8 @@ def _epsilon_grid(cfg, l_max: float):
     eps = cfg.get("epsilons")
     if eps is None:
         eps = [round(l_max * k / 8.0, 12) for k in range(9)]
-    if not isinstance(eps, list) or not all(isinstance(e, (int, float)) for e in eps):
+    if not isinstance(eps, list) or not all(
+            isinstance(e, (int, float)) and not isinstance(e, bool) for e in eps):
         raise ConfigError("/epsilons", "need a list of numbers")
     if not all(math.isfinite(e) for e in eps):
         raise ConfigError("/epsilons", "budgets must be finite")
@@ -362,17 +368,16 @@ def _cmd_compare_schemes(cfg, with_oracle):
         compressors = list(enumerate_compressors(instance.n_datasets))
     if not isinstance(compressors, list):
         raise ConfigError("/compressors", "need a list of maps")
-    rows = []
-    for rho in compressors:
-        if not isinstance(rho, (list, tuple)) or len(rho) != instance.n_datasets:
-            raise ConfigError("/compressors", "each map must label every dataset")
-        rep = compare_schemes(instance, q_alice, rule, rho,
-                              rate_budget=budget)
-        rows.append(("|".join(str(c) for c in rep.compressor),
-                     rep.mi_model, rep.mi_model2, rep.mi_residual, rep.delta_r,
-                     rep.bound1, rep.bound2, rep.measured_distortion,
-                     rep.rate_budget, rep.scheme1_rate, rep.boundary_gap,
-                     rep.distortion_scheme2, rep.infeasible))
+    if not all(isinstance(rho, (list, tuple)) and len(rho) == instance.n_datasets
+               for rho in compressors):
+        raise ConfigError("/compressors", "each map must label every dataset")
+    rows = [("|".join(str(c) for c in rep.compressor),
+             rep.mi_model, rep.mi_model2, rep.mi_residual, rep.delta_r,
+             rep.bound1, rep.bound2, rep.measured_distortion,
+             rep.rate_budget, rep.scheme1_rate, rep.boundary_gap,
+             rep.distortion_scheme2, rep.infeasible)
+            for rep in compare_schemes(instance, q_alice, rule, compressors,
+                                       rate_budget=budget)]
     return (["compressor", "mi_model", "mi_model2", "mi_residual", "delta_r",
              "bound1", "bound2", "measured_distortion", "rate_budget",
              "scheme1_rate", "boundary_gap", "distortion_scheme2",

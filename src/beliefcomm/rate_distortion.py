@@ -6,17 +6,18 @@ an expected divergence E_S[D(q(.|s) || r)] subject to semantic distortion
 
 * solve_rd: r is the output marginal, so the rate is the mutual information
   I(S;H) = min_r E_S D(q(.|s) || r). Its inner solve is Blahut-style
-  alternating minimization of the slope-Lagrangian.
+  alternating minimization of the slope-Lagrangian. solve_dr reads the same
+  curve from the rate axis: the least distortion within a rate budget.
 
 * solve_rd_with_prior: r is frozen to a given prior. The inner minimization
   then decouples across datasets and is closed-form, so each slope is
   solved exactly.
 
-One outer loop serves both inner solves: it brackets and bisects the slope
-to land on the distortion budget, blends the bracket ends onto the budget,
-and reports an explicit duality gap: achieved rate minus the best dual lower
-bound seen, which certifies the answer to within the gap. All rates are in
-bits; slopes are bits per unit distortion.
+One outer loop serves all three: it brackets and bisects a multiplier to
+land on the budget, blends the bracket ends onto the budget, and reports an
+explicit duality gap: achieved objective minus the best dual lower bound
+seen, which certifies the answer to within the gap. All rates are in bits;
+slopes are bits per unit distortion.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ LOG2 = math.log(2.0)
 
 DEFAULT_RATE_TOL = 1e-7
 SLOPE_MAX = 1e6
+# distortion tolerance of solve_dr's duality gap
+_DR_TOL = 1e-10
 _MAX_INNER_ITERS = 10**5
 # never reached: the bracket-width stop ends the bisection within about 50
 # halvings
@@ -173,13 +176,25 @@ def _ba_lagrangian(p, dmat, sigma, tol_gap_nats):
     return q, i_nats, avg_d, max(gap, 0.0), _MAX_INNER_ITERS
 
 
-def _setup(instance, q_sender, epsilon):
+def _setup(instance, q_sender, budget, name="epsilon"):
     """Weights, distortion rows and baseline over the positive-mass datasets."""
-    if not epsilon >= 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not budget >= 0:
+        raise ValueError(f"{name} must be >= 0, got {budget}")
     dmat, baseline = effective_distortion_matrix(instance, q_sender)
     keep = instance.p_s > 0
     return instance.p_s[keep], dmat[keep], baseline
+
+
+def _point(instance, epsilon, q, ref_row, rate, distortion, slope, iters,
+           gap) -> RDPoint:
+    """An RDPoint whose zero-mass datasets get ref_row."""
+    rows = np.tile(ref_row, (instance.n_datasets, 1))
+    rows[instance.p_s > 0] = q
+    return RDPoint(
+        epsilon=epsilon, rate=max(rate, 0.0), distortion=distortion,
+        slope=slope, q_tilde=Posterior.from_rows(rows, instance),
+        iterations=iters, duality_gap=gap,
+    )
 
 
 def _constant_point(instance, epsilon, row, delta) -> RDPoint:
@@ -191,85 +206,91 @@ def _constant_point(instance, epsilon, row, delta) -> RDPoint:
     )
 
 
-def _bisect_slope(instance, epsilon, p, dk, baseline, run, ref, rate_tol,
-                  width) -> RDPoint:
-    """Bisect the slope onto the distortion budget around one inner solve.
+def _best_constant(p, dk, baseline):
+    """The best constant row and its distortion: the rate-zero answer."""
+    dbar = p @ dk
+    h_star = int(np.argmin(dbar))
+    return np.eye(dk.shape[1])[h_star], float(dbar[h_star]) - baseline
 
-    run(slope) minimizes rate + slope * distortion and returns (q, rate,
-    distortion, dual, iters), where dual is a certified lower bound on the
-    constrained optimum. ref(q) is the row the rate is measured against,
-    rate = E_S D(q(.|s) || ref(q)), and also fills zero-mass datasets. The
-    bisection stops once the rate is within rate_tol of the best dual bound
-    or the bracket is narrower than width relative to the slope.
+
+def _bisect_slope(budget, run, cost, tol, width, dust, limit=None):
+    """Least obj subject to cons <= budget, by bisecting a multiplier lam.
+
+    run(lam) minimizes obj + lam * cons and returns (q, obj, cons, dual,
+    iters), dual being a certified lower bound on the constrained optimum;
+    cost(q) is (obj, cons) of a blend. Feasible means cons <= budget + dust.
+    limit is the feasible (q, obj, cons) at lam = infinity; without one, no
+    feasible lam up to SLOPE_MAX raises. The bisection stops once obj is
+    within tol of the best dual bound or the bracket is narrower than width
+    relative to lam. Returns (q, obj, cons, lam, iters, gap).
     """
     lower = -np.inf
     iters = 0
 
-    def solve(slope):
+    def solve(lam):
         nonlocal lower, iters
-        q, rate, delta, dual, it = run(slope)
+        q, obj, cons, dual, it = run(lam)
         lower = max(lower, dual)
         iters += it
-        return q, rate, delta
+        return q, obj, cons
 
-    def distortion(q):
-        return float(np.einsum("s,sh,sh->", p, q, dk)) - baseline
-
-    # Bracket the budget in slope.
+    # Bracket the budget in lam.
     lo, hi = 0.0, 1.0
-    q_lo = delta_lo = None
+    q_lo = cons_lo = None
     while hi <= SLOPE_MAX:
-        q_hi, rate_hi, delta_hi = solve(hi)
-        if delta_hi <= epsilon + FEAS_DUST:
+        q_hi, obj_hi, cons_hi = solve(hi)
+        if cons_hi <= budget + dust:
             break
-        lo, q_lo, delta_lo = hi, q_hi, delta_hi
+        lo, q_lo, cons_lo = hi, q_hi, cons_hi
         hi *= 2.0
     else:
-        raise ConvergenceError(
-            f"no slope up to {SLOPE_MAX} meets distortion budget {epsilon}; "
-            f"last distortion {delta_hi}"
-        )
+        if limit is None:
+            raise ConvergenceError(
+                f"no multiplier up to {SLOPE_MAX} meets budget {budget}; "
+                f"last constraint value {cons_hi}"
+            )
+        # an infinite bracket end also ends the bisection below
+        hi, (q_hi, obj_hi, cons_hi) = math.inf, limit
 
     for _ in range(_MAX_BISECTIONS):
-        if rate_hi - max(lower, 0.0) <= rate_tol or hi - lo <= width * max(1.0, hi):
+        if obj_hi - lower <= tol or hi - lo <= width * max(1.0, hi):
             break
         mid = 0.5 * (lo + hi)
-        q_mid, rate_mid, delta_mid = solve(mid)
-        if delta_mid <= epsilon + FEAS_DUST:
-            hi, q_hi, rate_hi, delta_hi = mid, q_mid, rate_mid, delta_mid
+        q_mid, obj_mid, cons_mid = solve(mid)
+        if cons_mid <= budget + dust:
+            hi, q_hi, obj_hi, cons_hi = mid, q_mid, obj_mid, cons_mid
         else:
-            lo, q_lo, delta_lo = mid, q_mid, delta_mid
+            lo, q_lo, cons_lo = mid, q_mid, cons_mid
 
-    # Candidate feasible solutions: the feasible side of the bracket, and the
-    # chord blend that lands exactly on the budget (optimal on flat segments).
-    rate_f, delta_f, q_f = rate_hi, delta_hi, q_hi
-    if q_lo is not None and delta_lo > epsilon > delta_hi:
-        t = (epsilon - delta_hi) / (delta_lo - delta_hi)
-        q_blend = t * q_lo + (1.0 - t) * q_hi
-        delta_blend = distortion(q_blend)
-        rate_blend = _kl_bits(p, q_blend, ref(q_blend))
-        if delta_blend <= epsilon + FEAS_DUST and rate_blend < rate_f:
-            rate_f, delta_f, q_f = rate_blend, delta_blend, q_blend
+    # Candidate feasible solutions: the feasible side of the bracket, and
+    # blends with the other side that land on the budget (optimal on flat
+    # segments). A linear cons lands in one step; under a convex one each
+    # regula falsi step stays feasible and moves closer.
+    obj_f, cons_f, q_f = obj_hi, cons_hi, q_hi
+    if q_lo is not None and cons_lo > budget > cons_hi:
+        t = 0.0
+        for _ in range(_MAX_BISECTIONS):
+            t += (1.0 - t) * (budget - cons_f) / (cons_lo - cons_f)
+            q_blend = t * q_lo + (1.0 - t) * q_hi
+            obj_blend, cons_blend = cost(q_blend)
+            if not (cons_blend <= budget + dust and obj_blend < obj_f):
+                break
+            obj_f, cons_f, q_f = obj_blend, cons_blend, q_blend
+            if cons_f >= budget - dust:
+                break
 
     # Exact feasibility: nudge any float dust back inside the budget by
     # blending with the strictly feasible bracket point.
-    if delta_f > epsilon and delta_hi < delta_f:
-        a = (epsilon - delta_hi) / (delta_f - delta_hi)
+    if cons_f > budget and cons_hi < cons_f:
+        a = (budget - cons_hi) / (cons_f - cons_hi)
         q_f = a * q_f + (1.0 - a) * q_hi
-        delta_f = distortion(q_f)
-        rate_f = _kl_bits(p, q_f, ref(q_f))
+        obj_f, cons_f = cost(q_f)
 
-    rows = np.tile(ref(q_f), (instance.n_datasets, 1))
-    rows[instance.p_s > 0] = q_f
-    return RDPoint(
-        epsilon=epsilon,
-        rate=max(rate_f, 0.0),
-        distortion=delta_f,
-        slope=hi,
-        q_tilde=Posterior.from_rows(rows, instance),
-        iterations=iters,
-        duality_gap=max(rate_f - max(lower, 0.0), 0.0),
-    )
+    return q_f, obj_f, cons_f, hi, iters, max(obj_f - lower, 0.0)
+
+
+def _distortion(p, q, dk, baseline):
+    return float(np.einsum("s,sh,sh->", p, q, dk)) - baseline
 
 
 def solve_rd(instance: ProblemInstance, q_sender: Posterior, epsilon: float,
@@ -283,12 +304,9 @@ def solve_rd(instance: ProblemInstance, q_sender: Posterior, epsilon: float,
     p, dk, baseline = _setup(instance, q_sender, epsilon)
 
     # Rate-zero fast path: best constant row.
-    dbar = p @ dk
-    h_star = int(np.argmin(dbar))
-    delta0 = float(dbar[h_star]) - baseline
+    row, delta0 = _best_constant(p, dk, baseline)
     if delta0 <= epsilon + FEAS_DUST:
-        return _constant_point(instance, epsilon,
-                               np.eye(instance.n_hypotheses)[h_star], delta0)
+        return _constant_point(instance, epsilon, row, delta0)
 
     gap_tol_nats = 0.25 * rate_tol * LOG2
 
@@ -297,13 +315,60 @@ def solve_rd(instance: ProblemInstance, q_sender: Posterior, epsilon: float,
             p, dk, slope_bits * LOG2, gap_tol_nats
         )
         delta = avg_d - baseline
-        # dual value at this slope: certified Lagrangian lower bound minus slope*eps
+        # dual value at this slope: certified Lagrangian lower bound minus
+        # slope*eps, and a rate is never below 0
         dual = (i_nats - fw_gap) / LOG2 + slope_bits * (delta - epsilon)
-        return q, i_nats / LOG2, delta, dual, it
+        return q, i_nats / LOG2, delta, max(dual, 0.0), it
 
     # the rate is I(S;H) = E_S D(q(.|s) || marginal)
-    return _bisect_slope(instance, epsilon, p, dk, baseline, run,
-                         lambda q: p @ q, rate_tol, width=1e-9)
+    q, rate, delta, slope, iters, gap = _bisect_slope(
+        epsilon, run,
+        lambda q: (_kl_bits(p, q, p @ q), _distortion(p, q, dk, baseline)),
+        rate_tol, 1e-9, FEAS_DUST)
+    return _point(instance, epsilon, q, p @ q, rate, delta, slope, iters, gap)
+
+
+def solve_dr(instance: ProblemInstance, q_sender: Posterior,
+             rate_budget: float) -> RDPoint:
+    """Least semantic distortion within a rate budget in bits: D(R).
+
+    The multiplier mu = 1/slope prices rate in distortion units; each mu
+    runs solve_rd's Blahut-Arimoto step at slope 1/mu, and the best constant
+    row (rate 0) is the mu -> infinity end. The point's epsilon is the
+    distortion it reaches and its duality gap is in distortion units.
+    """
+    p, dk, baseline = _setup(instance, q_sender, rate_budget, "rate_budget")
+
+    def cost(q):
+        return _distortion(p, q, dk, baseline), _kl_bits(p, q, p @ q)
+
+    # Least-distortion fast path: every dataset gets its best hypothesis.
+    best = np.eye(dk.shape[1])[dk.argmin(axis=1)]
+    d_best, r_best = cost(best)
+    if r_best <= rate_budget:
+        return _point(instance, d_best, best, p @ best, r_best, d_best,
+                      math.inf, 0, 0.0)
+
+    row, delta0 = _best_constant(p, dk, baseline)
+    const, d_const = np.tile(row, (len(p), 1)), dk @ row
+
+    def run(mu):
+        # Blahut's optimality condition at the constant row: no hypothesis
+        # would gain mass from it (c_h <= c of the row's own hypothesis), so
+        # it is the exact minimizer at this mu
+        c = p @ np.exp((LOG2 / mu) * (d_const[:, None] - dk))
+        if c.max() <= c @ row:
+            return const, delta0, 0.0, delta0 - mu * rate_budget, 0
+        q, i_nats, avg_d, fw_gap, it = _ba_lagrangian(
+            p, dk, LOG2 / mu, 0.25 * _DR_TOL * LOG2 / mu
+        )
+        delta = avg_d - baseline
+        dual = delta + mu * ((i_nats - fw_gap) / LOG2 - rate_budget)
+        return q, delta, i_nats / LOG2, dual, it
+
+    q, delta, rate, mu, iters, gap = _bisect_slope(
+        rate_budget, run, cost, _DR_TOL, 1e-9, 0.0, limit=(const, delta0, 0.0))
+    return _point(instance, delta, q, p @ q, rate, delta, 1.0 / mu, iters, gap)
 
 
 def solve_rd_with_prior(instance: ProblemInstance, q_sender: Posterior, epsilon: float,
@@ -340,13 +405,18 @@ def solve_rd_with_prior(instance: ProblemInstance, q_sender: Posterior, epsilon:
         a = log_prior[None, :] - sigma * dk
         log_z = _logsumexp_rows(a)
         q = np.exp(a - log_z[:, None])
-        delta = float(np.einsum("s,sh,sh->", p, q, dk)) - baseline
+        delta = _distortion(p, q, dk, baseline)
         # exact Lagrangian minimum at this slope
         f_exact = (-float(p @ log_z) - sigma * baseline) / LOG2
-        return q, _kl_bits(p, q, prior_p), delta, f_exact - slope_bits * epsilon, 1
+        return q, _kl_bits(p, q, prior_p), delta, \
+            max(f_exact - slope_bits * epsilon, 0.0), 1
 
-    return _bisect_slope(instance, epsilon, p, dk, baseline, run,
-                         lambda q: prior_p, rate_tol, width=1e-15)
+    q, rate, delta, slope, iters, gap = _bisect_slope(
+        epsilon, run,
+        lambda q: (_kl_bits(p, q, prior_p), _distortion(p, q, dk, baseline)),
+        rate_tol, 1e-15, FEAS_DUST)
+    return _point(instance, epsilon, q, prior_p, rate, delta, slope, iters,
+                  gap)
 
 
 def rd_curve(instance: ProblemInstance, q_sender: Posterior, epsilons,

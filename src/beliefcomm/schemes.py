@@ -23,14 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolationError, InvariantViolationError
-from .learning import (
-    LearningRule,
-    Posterior,
-    d_sem,
-    dataset_scores,
-    effective_distortion_matrix,
-)
-from .rate_distortion import solve_rd, solve_rd_with_prior
+from .learning import LearningRule, Posterior, d_sem, dataset_scores
+from .rate_distortion import solve_dr, solve_rd, solve_rd_with_prior
 from .spaces import (
     Distribution,
     ProblemInstance,
@@ -40,8 +34,8 @@ from .spaces import (
 
 LOG2 = math.log(2.0)
 CHAIN_RULE_TOL = 1e-8
-# slack of the distortion ceiling; rate tolerances of compare_schemes and
-# verify_bound's solves
+# slack of the distortion ceiling; rate tolerances of compare_schemes' and
+# verify_bound's budget-zero solves
 BOUND_TOL, _COMPARE_RATE_TOL, _VERIFY_RATE_TOL = 1e-9, 1e-6, 1e-8
 
 
@@ -131,13 +125,16 @@ def refit_on_compressed(instance: ProblemInstance, rule: LearningRule,
     which is exactly what the rule sees when only the cell is observed.
     Lookup-table rules have no induced rule on merged cells and are refused.
     """
+    return _refit(instance, rule, canonical_partition(rho),
+                  dataset_scores(instance))
+
+
+def _refit(instance, rule, labels, scores) -> np.ndarray:
     if rule.kind == "map_table":
         raise ValueError("map_table rules cannot be refit on compressed data")
-    labels = canonical_partition(rho)
     if len(labels) != instance.n_datasets:
         raise ValueError("compressor must label every dataset")
     n_cells = max(labels) + 1
-    scores = dataset_scores(instance)
     p_s = instance.p_s
     m = instance.dataset_space.m
     rows = np.empty((n_cells, instance.n_hypotheses))
@@ -170,78 +167,50 @@ def _conditional_mi_given_h(joint3: np.ndarray) -> float:
     return float(total)
 
 
-def _inverse_rate_lookup(instance, q_alice, budget, p0):
-    """Smallest budgeted distortion: min eps with rate(eps) <= budget; p0 is eps=0."""
-    if p0.rate <= budget:
-        return p0
-    dmat, baseline = effective_distortion_matrix(instance, q_alice)
-    p_s = instance.p_s
-    keep = p_s > 0
-    eps_hi = float((p_s[keep] @ dmat[keep]).min()) - baseline  # rate hits 0 here
-    lo, hi = 0.0, max(eps_hi, 1e-12)
-    pt_hi = solve_rd(instance, q_alice, hi, rate_tol=_COMPARE_RATE_TOL)
-    for _ in range(60):
-        if hi - lo < 1e-12 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        pt = solve_rd(instance, q_alice, mid, rate_tol=_COMPARE_RATE_TOL)
-        if pt.rate <= budget:
-            hi, pt_hi = mid, pt
-        else:
-            lo = mid
-    return pt_hi
-
-
 def compare_schemes(instance: ProblemInstance, q_alice: Posterior,
-                    rule: LearningRule, rho,
-                    rate_budget: float | None = None) -> SchemeReport:
-    """Account both schemes through one compressor at a matched bottleneck.
+                    rule: LearningRule, compressors,
+                    rate_budget: float | None = None) -> list[SchemeReport]:
+    """Account both schemes through each compressor at a matched bottleneck.
 
     With no explicit budget, the bottleneck is what scheme 2 actually
     carries, I(S; (S2, H2)), so the two schemes are compared at equal flow.
+    Scheme 1's distortion at the budget is D(R) from solve_dr. The
+    budget-zero reference rate and the dataset scores serve every compressor.
     """
-    labels = canonical_partition(rho)
-    if len(labels) != instance.n_datasets:
-        raise ValueError("compressor must label every dataset")
-    rows2 = refit_on_compressed(instance, rule, labels)
-    n_cells = rows2.shape[0]
-    p_s = instance.p_s
-    n_h = instance.n_hypotheses
-
-    joint3 = np.zeros((instance.n_datasets, n_cells, n_h))
-    for s in range(instance.n_datasets):
-        joint3[s, labels[s], :] = p_s[s] * rows2[labels[s]]
-
-    mi_pair = mutual_information(joint3.reshape(instance.n_datasets, -1))
-    mi_model2 = mutual_information(joint3.sum(axis=1))
-    mi_residual = _conditional_mi_given_h(joint3)
-
-    budget = mi_pair if rate_budget is None else float(rate_budget)
-    infeasible = budget < -1e-12
     p0 = solve_rd(instance, q_alice, 0.0, rate_tol=_COMPARE_RATE_TOL)
-    point = p0 if infeasible else _inverse_rate_lookup(instance, q_alice, budget,
-                                                       p0)
-
-    q_bob2 = Posterior.from_rows(rows2[list(labels)], instance)
-    dist2 = d_sem(q_alice, q_bob2, instance)
-
-    delta_r = max(p0.rate - budget, 0.0)
-    return SchemeReport(
-        compressor=labels,
-        mi_model=mi_pair,
-        mi_model2=mi_model2,
-        mi_residual=mi_residual,
-        delta_r=delta_r,
-        bound1=distortion_rate_bound(delta_r, instance.hypotheses.l_max),
-        bound2=distortion_rate_bound_scheme2(delta_r, mi_residual,
-                                             instance.hypotheses.l_max),
-        measured_distortion=point.distortion,
-        rate_budget=budget,
-        scheme1_rate=point.rate,
-        boundary_gap=budget - point.rate,
-        distortion_scheme2=dist2,
-        infeasible=infeasible,
-    )
+    scores = dataset_scores(instance)
+    n_s = instance.n_datasets
+    reports = []
+    for rho in compressors:
+        labels = canonical_partition(rho)
+        rows2 = _refit(instance, rule, labels, scores)
+        bob2 = rows2[list(labels)]
+        joint3 = np.zeros((n_s, rows2.shape[0], instance.n_hypotheses))
+        joint3[np.arange(n_s), labels] = instance.p_s[:, None] * bob2
+        mi_pair = mutual_information(joint3.reshape(n_s, -1))
+        mi_residual = _conditional_mi_given_h(joint3)
+        budget = mi_pair if rate_budget is None else float(rate_budget)
+        infeasible = budget < 0.0
+        point = p0 if infeasible else solve_dr(instance, q_alice, budget)
+        delta_r = max(p0.rate - budget, 0.0)
+        reports.append(SchemeReport(
+            compressor=labels,
+            mi_model=mi_pair,
+            mi_model2=mutual_information(joint3.sum(axis=1)),
+            mi_residual=mi_residual,
+            delta_r=delta_r,
+            bound1=distortion_rate_bound(delta_r, instance.hypotheses.l_max),
+            bound2=distortion_rate_bound_scheme2(delta_r, mi_residual,
+                                                 instance.hypotheses.l_max),
+            measured_distortion=point.distortion,
+            rate_budget=budget,
+            scheme1_rate=point.rate,
+            boundary_gap=budget - point.rate,
+            distortion_scheme2=d_sem(
+                q_alice, Posterior.from_rows(bob2, instance), instance),
+            infeasible=infeasible,
+        ))
+    return reports
 
 
 @dataclass(frozen=True)

@@ -165,7 +165,8 @@ def kl_divergence(p, q) -> float:
 def mutual_information(joint) -> float:
     """Mutual information of a joint probability matrix, in bits.
 
-    Accepts any 2-d nonnegative matrix summing to one (0 log 0 = 0).
+    Accepts any 2-d nonnegative matrix summing to one (0 log 0 = 0). Never
+    negative: rounding dust below zero, as independent factors give, reads 0.
     """
     j = np.asarray(joint, dtype=float)
     if j.ndim != 2:
@@ -181,7 +182,7 @@ def mutual_information(joint) -> float:
     outer = np.outer(row, col)
     mask = j > 0
     val = float(np.sum(j[mask] * (np.log(j[mask]) - np.log(outer[mask]))))
-    return val / LOG2
+    return max(val / LOG2, 0.0)
 
 
 def entropy_bits(p) -> float:

@@ -210,12 +210,12 @@ def test_accept_7_chain_rule_and_data_processing():
         rule = LearningRule.gibbs(2.0) if seed % 2 else LearningRule.erm()
         q = fit(rule, inst)
         mi1 = mutual_information(inst.p_s[:, None] * q.rows)
-        for rho in enumerate_compressors(inst.n_datasets):
-            rep = compare_schemes(inst, q, rule, rho)
+        for rep in compare_schemes(inst, q, rule,
+                                   enumerate_compressors(inst.n_datasets)):
             chain = abs(rep.mi_model - rep.mi_model2 - rep.mi_residual)
             worst_chain = max(worst_chain, chain)
-            assert chain <= 1e-8, (seed, rho, chain)
-            assert rep.mi_model2 <= mi1 + 1e-10, (seed, rho)
+            assert chain <= 1e-8, (seed, rep.compressor, chain)
+            assert rep.mi_model2 <= mi1 + 1e-10, (seed, rep.compressor)
             n_checked += 1
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0

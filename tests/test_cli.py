@@ -253,14 +253,24 @@ def world3_file(tmp_path):
     (["compare-schemes"], {"rate_budget": "x"}, "rate_budget"),
     (["compare-schemes"], {"compressors": 5}, "compressors"),
     (["coordinate", "--slack", "nan"], None, "slack"),
+    (["code"], {"n": True}, "n"),
+    (["code"], {"slack": True}, "slack"),
+    (["coordinate"], {"trials": True}, "trials"),
+    (["verify-bound"], {"instances": True}, "instances"),
+    (["compare-schemes"], {"rate_budget": False}, "rate_budget"),
+    (["rd-curve"], {"epsilons": [False, True]}, "epsilons"),
+    (["rd-curve"], {"prior": [True, False, False]}, "prior"),
 ], ids=["code-n-abc", "code-n-neg", "code-n-0", "example1-n_list-5",
         "coordinate-trials-0", "coordinate-n-0", "code-tv_trials-0",
         "code-tv_trials-neg", "compare-rate_budget-x", "compare-compressors-5",
-        "coordinate-slack-nan"])
+        "coordinate-slack-nan", "code-n-true", "code-slack-true",
+        "coordinate-trials-true", "verify-instances-true",
+        "compare-rate_budget-false", "rd-curve-epsilons-bools",
+        "rd-curve-prior-bools"])
 def test_bad_settings_exit_2(tmp_path, world3_file, capsys, argv, config,
                              key):
     """A bad number or shape in a flag or config is a config error, no crash."""
-    if argv[0] != "example1":
+    if argv[0] not in ("example1", "verify-bound"):
         argv = argv + ["--instance", world3_file]
     if config is not None:
         cfg = tmp_path / "cfg.json"

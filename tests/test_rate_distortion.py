@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.optimize import brentq
 from scipy.special import rel_entr
 
 from beliefcomm import (
@@ -19,15 +20,17 @@ from beliefcomm import (
     fit,
     kl_rate,
     mutual_information,
+    problem_instance_from_json,
     random_instance,
     rd_curve,
     rd_grid_oracle,
+    solve_dr,
     solve_rd,
     solve_rd_with_prior,
     two_hypothesis_world,
 )
 from beliefcomm.errors import InvariantViolationError, SupportViolationError
-from beliefcomm.rate_distortion import _kl_bits
+from beliefcomm.rate_distortion import _bisect_slope, _kl_bits
 from conftest import philox_rng as _rng, sharp_sender as _sharp_sender
 
 
@@ -212,3 +215,151 @@ def test_kl_bits_matches_the_row_loop(n_s, n_h, data):
     got = _kl_bits(p / p.sum(), q, ref)
     want = _kl_bits_one_by_one(p / p.sum(), q, ref)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+# compare_schemes' rate tolerance when it found D(R) by nested bisection
+_COMPARE_RATE_TOL = 1e-6
+
+
+def _inverse_rate_lookup(instance, q_alice, budget, p0):
+    """Smallest budgeted distortion: min eps with rate(eps) <= budget; p0 is eps=0."""
+    if p0.rate <= budget:
+        return p0
+    dmat, baseline = effective_distortion_matrix(instance, q_alice)
+    p_s = instance.p_s
+    keep = p_s > 0
+    eps_hi = float((p_s[keep] @ dmat[keep]).min()) - baseline  # rate hits 0 here
+    lo, hi = 0.0, max(eps_hi, 1e-12)
+    pt_hi = solve_rd(instance, q_alice, hi, rate_tol=_COMPARE_RATE_TOL)
+    for _ in range(60):
+        if hi - lo < 1e-12 * max(1.0, hi):
+            break
+        mid = 0.5 * (lo + hi)
+        pt = solve_rd(instance, q_alice, mid, rate_tol=_COMPARE_RATE_TOL)
+        if pt.rate <= budget:
+            hi, pt_hi = mid, pt
+        else:
+            lo = mid
+    return pt_hi
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32), n_s=st.integers(2, 3),
+       n_h=st.integers(2, 3), erm=st.booleans(),
+       frac=st.sampled_from([0.0, 0.02, 0.3, 0.7, 0.99, 1.5]))
+def test_solve_dr_matches_the_nested_bisection(seed, n_s, n_h, erm, frac):
+    """D(R) in one bisection against the budget bisection around solve_rd.
+
+    Below R(0) both answer D(R). At or above it the nested search stops at
+    the budget-zero point, which D(R) can only improve on.
+    """
+    inst = random_instance(_rng(seed), n_concepts=3, n_symbols=n_s,
+                           n_hypotheses=n_h, m=1, concentration=0.2)
+    q = fit(LearningRule.erm() if erm else LearningRule.gibbs(2.0), inst)
+    p0 = solve_rd(inst, q, 0.0, rate_tol=_COMPARE_RATE_TOL)
+    budget = frac * p0.rate
+    ref = _inverse_rate_lookup(inst, q, budget, p0)
+    pt = solve_dr(inst, q, budget)
+    assert pt.rate <= budget
+    assert pt.distortion <= ref.distortion + 1e-9
+    # the nested search's point is feasible, so it is never below the
+    # certified lower bound
+    assert pt.distortion - pt.duality_gap <= ref.distortion + 1e-12
+
+
+def test_solve_dr_agrees_with_grid_oracle():
+    """At eps = D(R) the independent grid oracle's R(eps) is the budget."""
+    for seed, n_h in ((3, 2), (9, 2), (1, 3)):
+        inst, q, _ = _sharp_sender(seed, n_hypotheses=n_h)
+        r0 = solve_rd(inst, q, 0.0).rate
+        for frac in (0.3, 0.7):
+            pt = solve_dr(inst, q, frac * r0)
+            assert abs(rd_grid_oracle(inst, q, pt.distortion) - frac * r0) \
+                < 1e-3
+
+
+def test_bisection_lands_a_convex_constraint_on_the_budget():
+    """Largest x with x^2 <= 0.3 through a coarse bracket: a single chord
+    blend of the bracket ends stays strictly inside a convex constraint, so
+    the blends have to keep stepping until the constraint meets the budget."""
+    def run(lam):
+        x = 0.5 / lam  # argmin of -x + lam * x^2
+        return np.array([[x]]), -x, x * x, -0.25 / lam - lam * 0.3, 1
+
+    def cost(q):
+        return -float(q[0, 0]), float(q[0, 0]) ** 2
+
+    q, obj, cons, lam, iters, gap = _bisect_slope(0.3, run, cost, 0.0, 0.5,
+                                                  0.0)
+    assert cons <= 0.3
+    assert cons == pytest.approx(0.3, abs=1e-12)
+    assert obj == pytest.approx(-math.sqrt(0.3), abs=1e-12)
+
+
+def _binary_symmetric_world():
+    """Two equally likely concepts that the one sample reveals, each
+    punishing the other's hypothesis: Hamming distortion on a fair bit, so
+    D(R) = h^-1(1 - R) and both constant rows tie at 1/2."""
+    hit = [[0.0, 0.0], [1.0, 1.0]]
+    return problem_instance_from_json({
+        "concepts": [{"name": "c0", "prior": 0.5}, {"name": "c1", "prior": 0.5}],
+        "samples": ["z0", "z1"], "data_law": [[1.0, 0.0], [0.0, 1.0]],
+        "hypotheses": ["h0", "h1"], "loss": [hit, hit[::-1]], "m": 1,
+        "l_max": 1.0})
+
+
+def test_solve_dr_matches_the_binary_entropy_curve():
+    w = _binary_symmetric_world()
+    q = fit(LearningRule.erm(), w)
+    for rate in (1e-6, 0.1, 0.5, 0.9):
+        pt = solve_dr(w, q, rate)
+        want = brentq(lambda d: 1.0 + d * math.log2(d)
+                      + (1.0 - d) * math.log2(1.0 - d) - rate, 1e-300, 0.5)
+        assert pt.rate <= rate
+        assert abs(pt.distortion - want) < 1e-9
+
+
+def test_solve_dr_dust_budget_on_a_tie_takes_the_constant_end():
+    """Regression: with both constant rows tied, no multiplier up to
+    SLOPE_MAX gets the rate below a budget of float dust; the constant row,
+    the end of the bracket at infinity, is feasible for any budget."""
+    w = _binary_symmetric_world()
+    q = fit(LearningRule.erm(), w)
+    for budget in (0.0, 1.56e-16):
+        pt = solve_dr(w, q, budget)
+        assert pt.rate <= budget
+        assert pt.slope == 0.0
+        assert pt.distortion <= 0.5
+        assert pt.duality_gap < 1e-6
+
+
+def test_solve_dr_budget_of_float_dust():
+    """Regression: a budget of +1.56e-16 bits, the flow compare-schemes
+    measures for the all-merging compressor of world 1013, is below any rate
+    the Blahut-Arimoto step reaches; the best constant row answers it."""
+    inst, q, span = _sharp_sender(1013, n_symbols=4)
+    pt = solve_dr(inst, q, 1.558005359926657e-16)
+    assert pt.rate <= 1.558005359926657e-16
+    assert abs(pt.distortion - span) < 1e-9
+
+
+def test_solve_dr_zero_budget_is_the_best_constant_row():
+    inst, q, span = _sharp_sender(1013, n_symbols=4)
+    pt = solve_dr(inst, q, 0.0)
+    assert (pt.rate, pt.distortion, pt.duality_gap) == (0.0, span, 0.0)
+    assert (pt.q_tilde.rows == pt.q_tilde.rows[0]).all()
+    with pytest.raises(ValueError, match="rate_budget must be >= 0"):
+        solve_dr(inst, q, -1e-3)
+
+
+def test_solve_dr_budget_past_the_zero_distortion_rate():
+    """Past R(0) the answer is at or below distortion 0, within budget."""
+    for seed in (2, 5):
+        inst, q, _ = _sharp_sender(seed)
+        dmat, base = effective_distortion_matrix(inst, q)
+        d_min = float(inst.p_s @ dmat.min(axis=1)) - base
+        r0 = solve_rd(inst, q, 0.0).rate
+        for budget in (r0, 1.5 * r0 + 0.1):
+            pt = solve_dr(inst, q, budget)
+            assert pt.rate <= budget
+            assert d_min - 1e-12 <= pt.distortion <= 1e-9
