@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .channel_coding import CommonRandomness, code_sequence, encode_batch, \
@@ -98,7 +97,6 @@ def _write_manifest(outdir: Path, command: str, cfg: dict):
         "versions": {
             "beliefcomm": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": platform.python_version(),
         },
     }

@@ -22,15 +22,15 @@ slopes are bits per unit distortion.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rel_entr
 
 from .errors import ConvergenceError, InvariantViolationError, SupportViolationError
 from .learning import Posterior, effective_distortion_matrix
-from .spaces import Distribution, ProblemInstance, _logsumexp_rows
+from .spaces import Distribution, ProblemInstance, _logsumexp_rows, _rel_entr
 
 LOG2 = math.log(2.0)
 
@@ -122,7 +122,7 @@ def _kl_bits(p: np.ndarray, q: np.ndarray, ref: np.ndarray) -> float:
     The weighted row divergences are added left to right, as a loop over the
     rows would add them.
     """
-    return float(sum(p * rel_entr(q, ref).sum(axis=1))) / LOG2
+    return float(sum(p * _rel_entr(q, ref).sum(axis=1))) / LOG2
 
 
 def _ba_lagrangian(p, dmat, sigma, tol_gap_nats):
@@ -154,7 +154,7 @@ def _ba_lagrangian(p, dmat, sigma, tol_gap_nats):
         if it % check_every == 0 or it == _MAX_INNER_ITERS or it == 1:
             q = np.exp(a - log_z[:, None])
             avg_d = float(np.einsum("s,sh,sh->", p, q, dmat))
-            i_nats = float(p @ rel_entr(q, p @ q).sum(axis=1))
+            i_nats = float(p @ _rel_entr(q, p @ q).sum(axis=1))
             f = i_nats + sigma * avg_d
             # gradient of the Lagrangian per unit of p[s] is -log_z[s] -
             # log_t[h]; the -log_z part cancels between the two gap terms
@@ -176,10 +176,13 @@ def _ba_lagrangian(p, dmat, sigma, tol_gap_nats):
     return q, i_nats, avg_d, max(gap, 0.0), _MAX_INNER_ITERS
 
 
-def _setup(instance, q_sender, budget, name="epsilon"):
-    """Weights, distortion rows and baseline over the positive-mass datasets."""
+def _check_budget(budget, name="epsilon"):
     if not budget >= 0:
         raise ValueError(f"{name} must be >= 0, got {budget}")
+
+
+def _setup(instance, q_sender):
+    """Weights, distortion rows and baseline over the positive-mass datasets."""
     dmat, baseline = effective_distortion_matrix(instance, q_sender)
     keep = instance.p_s > 0
     return instance.p_s[keep], dmat[keep], baseline
@@ -301,7 +304,8 @@ def solve_rd(instance: ProblemInstance, q_sender: Posterior, epsilon: float,
     the constraint boundary resolve toward the smaller rate; in particular a
     budget reachable with a constant row returns rate exactly 0.
     """
-    p, dk, baseline = _setup(instance, q_sender, epsilon)
+    _check_budget(epsilon)
+    p, dk, baseline = _setup(instance, q_sender)
 
     # Rate-zero fast path: best constant row.
     row, delta0 = _best_constant(p, dk, baseline)
@@ -337,7 +341,8 @@ def solve_dr(instance: ProblemInstance, q_sender: Posterior,
     row (rate 0) is the mu -> infinity end. The point's epsilon is the
     distortion it reaches and its duality gap is in distortion units.
     """
-    p, dk, baseline = _setup(instance, q_sender, rate_budget, "rate_budget")
+    _check_budget(rate_budget, "rate_budget")
+    p, dk, baseline = _setup(instance, q_sender)
 
     def cost(q):
         return _distortion(p, q, dk, baseline), _kl_bits(p, q, p @ q)
@@ -350,6 +355,10 @@ def solve_dr(instance: ProblemInstance, q_sender: Posterior,
                       math.inf, 0, 0.0)
 
     row, delta0 = _best_constant(p, dk, baseline)
+    if rate_budget == 0.0:
+        # I(S;H) = 0 forces one row on every dataset, so the best constant
+        # row is the exact answer
+        return _constant_point(instance, delta0, row, delta0)
     const, d_const = np.tile(row, (len(p), 1)), dk @ row
 
     def run(mu):
@@ -380,52 +389,70 @@ def solve_rd_with_prior(instance: ProblemInstance, q_sender: Posterior, epsilon:
     (tilt the prior by the distortion column), so every slope evaluation is
     exact and the dual bound is tight.
     """
-    p, dk, baseline = _setup(instance, q_sender, epsilon)
+    return _prior_grid(instance, q_sender, prior, [epsilon], rate_tol)[0]
+
+
+def _prior_grid(instance, q_sender, prior, epsilons,
+                rate_tol=DEFAULT_RATE_TOL) -> list[RDPoint]:
+    """solve_rd_with_prior at each budget of a grid, set up once.
+
+    The distortion rows, the prior's reach and log, and the rate-zero point
+    depend on the instance, the sender and the prior alone; every budget
+    the prior row meets shares that one point, with its own epsilon.
+    """
+    p, dk, baseline = _setup(instance, q_sender)
     prior_p = prior.probs
     if len(prior_p) != instance.n_hypotheses:
         raise SupportViolationError("prior lives on the wrong hypothesis alphabet")
 
     supp = prior_p > 0
     d_inf = float(p @ dk[:, supp].min(axis=1)) - baseline
-    if epsilon < d_inf - FEAS_DUST:
-        raise SupportViolationError(
-            f"budget {epsilon} unreachable inside the prior support "
-            f"(best achievable {d_inf}); the rate is infinite"
-        )
-
     delta_prior = float(p @ (dk @ prior_p)) - baseline
-    if delta_prior <= epsilon + FEAS_DUST:
-        return _constant_point(instance, epsilon, prior_p, delta_prior)
-
     log_prior = np.full_like(prior_p, -np.inf)
     log_prior[supp] = np.log(prior_p[supp])
+    const = None
 
-    def run(slope_bits):
-        sigma = slope_bits * LOG2
-        a = log_prior[None, :] - sigma * dk
-        log_z = _logsumexp_rows(a)
-        q = np.exp(a - log_z[:, None])
-        delta = _distortion(p, q, dk, baseline)
-        # exact Lagrangian minimum at this slope
-        f_exact = (-float(p @ log_z) - sigma * baseline) / LOG2
-        return q, _kl_bits(p, q, prior_p), delta, \
-            max(f_exact - slope_bits * epsilon, 0.0), 1
+    def cost(q):
+        return _kl_bits(p, q, prior_p), _distortion(p, q, dk, baseline)
 
-    q, rate, delta, slope, iters, gap = _bisect_slope(
-        epsilon, run,
-        lambda q: (_kl_bits(p, q, prior_p), _distortion(p, q, dk, baseline)),
-        rate_tol, 1e-15, FEAS_DUST)
-    return _point(instance, epsilon, q, prior_p, rate, delta, slope, iters,
-                  gap)
+    points = []
+    for epsilon in map(float, epsilons):
+        _check_budget(epsilon)
+        if epsilon < d_inf - FEAS_DUST:
+            raise SupportViolationError(
+                f"budget {epsilon} unreachable inside the prior support "
+                f"(best achievable {d_inf}); the rate is infinite"
+            )
+        if delta_prior <= epsilon + FEAS_DUST:
+            if const is None:
+                const = _constant_point(instance, epsilon, prior_p, delta_prior)
+            points.append(dataclasses.replace(
+                const, epsilon=epsilon, distortion=min(delta_prior, epsilon)))
+            continue
+
+        def run(slope_bits, epsilon=epsilon):
+            sigma = slope_bits * LOG2
+            a = log_prior[None, :] - sigma * dk
+            log_z = _logsumexp_rows(a)
+            q = np.exp(a - log_z[:, None])
+            delta = _distortion(p, q, dk, baseline)
+            # exact Lagrangian minimum at this slope
+            f_exact = (-float(p @ log_z) - sigma * baseline) / LOG2
+            return q, _kl_bits(p, q, prior_p), delta, \
+                max(f_exact - slope_bits * epsilon, 0.0), 1
+
+        q, rate, delta, slope, iters, gap = _bisect_slope(
+            epsilon, run, cost, rate_tol, 1e-15, FEAS_DUST)
+        points.append(_point(instance, epsilon, q, prior_p, rate, delta, slope,
+                             iters, gap))
+    return points
 
 
 def rd_curve(instance: ProblemInstance, q_sender: Posterior, epsilons,
              prior: Distribution | None = None) -> RDCurve:
     """Solve a whole increasing budget grid; prior=None means plain solve_rd."""
-    pts = []
-    for eps in epsilons:
-        if prior is None:
-            pts.append(solve_rd(instance, q_sender, float(eps)))
-        else:
-            pts.append(solve_rd_with_prior(instance, q_sender, float(eps), prior))
+    if prior is None:
+        pts = [solve_rd(instance, q_sender, float(eps)) for eps in epsilons]
+    else:
+        pts = _prior_grid(instance, q_sender, prior, epsilons)
     return RDCurve(points=tuple(pts))

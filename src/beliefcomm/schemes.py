@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BoundViolationError, InvariantViolationError
 from .learning import LearningRule, Posterior, d_sem, dataset_scores
-from .rate_distortion import solve_dr, solve_rd, solve_rd_with_prior
+from .rate_distortion import _prior_grid, solve_dr, solve_rd
 from .spaces import (
     Distribution,
     ProblemInstance,
@@ -240,19 +240,25 @@ def verify_bound(instance: ProblemInstance, q_alice: Posterior,
     read off the solver, so the check crosses two code paths. Any violation
     beyond BOUND_TOL raises with the serialized instance attached.
     """
-    zero = solve_rd_with_prior(instance, q_alice, 0.0, prior,
-                               rate_tol=_VERIFY_RATE_TOL)
+    grid = [float(eps) for eps in epsilon_grid]
+    # a budget of 0 is the reference point itself; the solve is deterministic
+    zero, *solved = _prior_grid(instance, q_alice, prior,
+                                [0.0] + [eps for eps in grid if eps != 0.0],
+                                rate_tol=_VERIFY_RATE_TOL)
+    solved = iter(solved)
     r_star = zero.rate
     rows = []
-    for eps in epsilon_grid:
-        # a budget of 0 is the reference point itself; the solve is deterministic
-        point = zero if float(eps) == 0.0 else solve_rd_with_prior(
-            instance, q_alice, float(eps), prior, rate_tol=_VERIFY_RATE_TOL)
+    q_measured = measured = None
+    for eps in grid:
+        point = zero if eps == 0.0 else next(solved)
         delta_r = max(r_star - point.rate, 0.0)
         bound = distortion_rate_bound(delta_r, instance.hypotheses.l_max)
-        measured = d_sem(q_alice, point.q_tilde, instance)
+        # budgets the prior row meets share one point
+        if point.q_tilde is not q_measured:
+            q_measured = point.q_tilde
+            measured = d_sem(q_alice, q_measured, instance)
         row = BoundCheckRow(
-            epsilon=float(eps), rate=point.rate, r_star=r_star,
+            epsilon=eps, rate=point.rate, r_star=r_star,
             delta_r=delta_r, bound=bound, measured=measured,
         )
         if measured > bound + BOUND_TOL:

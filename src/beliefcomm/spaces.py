@@ -7,8 +7,10 @@ for those alphabets plus total variation, KL divergence, and mutual
 information, all in bits. It also holds the package's one log-sum-exp over
 rows (_logsumexp_rows), which the closed-form solver and the gibbs learner
 share, and its one validator of probability rows (_clean_rows), which every
-posterior and data law goes through. (The Blahut-Arimoto loop in
-rate_distortion keeps its own max-shifted reductions: their bits differ.)
+posterior and data law goes through, and its one relative-entropy kernel
+(_rel_entr), which every divergence goes through. (The Blahut-Arimoto loop
+in rate_distortion keeps its own max-shifted reductions: their bits differ.)
+The package needs numpy alone at run time.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import rel_entr, xlogy
 
 from .errors import (
     AlphabetMismatchError,
@@ -37,6 +38,8 @@ NORM_TOL = 1e-12
 RENORM_LIMIT = 1e-9
 
 DEFAULT_ENUMERATION_CAP = 10**6
+
+_TINY = np.finfo(float).tiny
 
 
 def _clean_probs(values, what: str) -> np.ndarray:
@@ -100,6 +103,29 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rel_entr(x, y) -> np.ndarray:
+    """Elementwise x log(x/y) of nonnegative arrays, as scipy.special.rel_entr.
+
+    This is scipy 1.17's formula: x log1p((x - y)/y) where 0.5 < x/y < 2,
+    x (log x - log y) where x/y under- or overflows, x log(x/y) elsewhere;
+    0 where x == 0 and +inf where x > 0 and y == 0. A nan entry gives nan.
+    numpy's log and log1p may differ from scipy's by a unit or two in the
+    last place.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ratio = x / y
+        out = x * np.where((ratio > 0.5) & (ratio < 2.0),
+                           np.log1p((x - y) / y), np.log(ratio))
+        # x or y is 0, or the ratio is subnormal or overflows
+        odd = ~(ratio >= _TINY) | (ratio == np.inf)
+        if odd.any():
+            edge = np.where((x == 0) & (y >= 0), 0.0,
+                            x * (np.log(x) - np.log(y)))
+            out = np.where(odd, edge, out)
+    return out
+
+
 @dataclass(frozen=True)
 class Distribution:
     """A probability vector over an implicit finite alphabet."""
@@ -159,7 +185,7 @@ def kl_divergence(p, q) -> float:
             f"kl_divergence is infinite: mass at indices {np.flatnonzero(bad).tolist()} "
             "outside the support of the second argument"
         )
-    return float(rel_entr(pa, qa).sum()) / LOG2
+    return float(_rel_entr(pa, qa).sum()) / LOG2
 
 
 def mutual_information(joint) -> float:
@@ -186,8 +212,11 @@ def mutual_information(joint) -> float:
 
 
 def entropy_bits(p) -> float:
+    """Shannon entropy in bits (0 log 0 = 0)."""
     pa = _as_probs(p)
-    return -float(xlogy(pa, pa).sum()) / LOG2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(pa == 0, 0.0, pa * np.log(pa))
+    return -float(terms.sum()) / LOG2
 
 
 @dataclass(frozen=True)

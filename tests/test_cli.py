@@ -1,6 +1,9 @@
 """CLI contracts: exit codes, CSV headers, manifests, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +42,7 @@ def test_rd_curve_files_and_manifest(tmp_path, instance_file):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "rd-curve"
     assert manifest["seed"] == 0
-    assert set(manifest["versions"]) == {"beliefcomm", "numpy", "scipy",
-                                         "python"}
+    assert set(manifest["versions"]) == {"beliefcomm", "numpy", "python"}
     raw = (out / "manifest.json").read_text()
     assert raw.endswith("\n")
     assert "time" not in manifest
@@ -439,3 +441,16 @@ def test_bad_budgets_and_priors_exit_2(tmp_path, instance_file, capsys, argv,
     assert main(argv + ["--out", str(out)]) == 2
     assert f"config error: /{key}" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """The runtime needs numpy alone; scipy is only a test reference."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, beliefcomm.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

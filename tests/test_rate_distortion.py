@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
-from scipy.special import rel_entr
 
 from beliefcomm import (
     Distribution,
@@ -30,7 +29,17 @@ from beliefcomm import (
     two_hypothesis_world,
 )
 from beliefcomm.errors import InvariantViolationError, SupportViolationError
-from beliefcomm.rate_distortion import _bisect_slope, _kl_bits
+from beliefcomm.rate_distortion import (
+    DEFAULT_RATE_TOL,
+    FEAS_DUST,
+    _bisect_slope,
+    _constant_point,
+    _distortion,
+    _kl_bits,
+    _point,
+    _prior_grid,
+)
+from beliefcomm.spaces import _logsumexp_rows, _rel_entr
 from conftest import philox_rng as _rng, sharp_sender as _sharp_sender
 
 
@@ -176,6 +185,73 @@ def test_prior_solver_feasible_at_budget():
         assert pt.distortion <= eps + 1e-15
 
 
+def _solve_with_prior_alone(instance, q_sender, epsilon, prior):
+    """solve_rd_with_prior as it was before grids shared one set-up."""
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    dmat, baseline = effective_distortion_matrix(instance, q_sender)
+    keep = instance.p_s > 0
+    p, dk = instance.p_s[keep], dmat[keep]
+    prior_p = prior.probs
+    supp = prior_p > 0
+    d_inf = float(p @ dk[:, supp].min(axis=1)) - baseline
+    if epsilon < d_inf - FEAS_DUST:
+        raise SupportViolationError("unreachable")
+    delta_prior = float(p @ (dk @ prior_p)) - baseline
+    if delta_prior <= epsilon + FEAS_DUST:
+        return _constant_point(instance, epsilon, prior_p, delta_prior)
+    log_prior = np.full_like(prior_p, -np.inf)
+    log_prior[supp] = np.log(prior_p[supp])
+
+    def run(slope_bits):
+        sigma = slope_bits * math.log(2.0)
+        a = log_prior[None, :] - sigma * dk
+        log_z = _logsumexp_rows(a)
+        q = np.exp(a - log_z[:, None])
+        delta = _distortion(p, q, dk, baseline)
+        f_exact = (-float(p @ log_z) - sigma * baseline) / math.log(2.0)
+        return q, _kl_bits(p, q, prior_p), delta, \
+            max(f_exact - slope_bits * epsilon, 0.0), 1
+
+    q, rate, delta, slope, iters, gap = _bisect_slope(
+        epsilon, run,
+        lambda q: (_kl_bits(p, q, prior_p), _distortion(p, q, dk, baseline)),
+        DEFAULT_RATE_TOL, 1e-15, FEAS_DUST)
+    return _point(instance, epsilon, q, prior_p, rate, delta, slope, iters,
+                  gap)
+
+
+def _point_bits(pt):
+    fields = ("epsilon", "rate", "distortion", "slope", "duality_gap",
+              "iterations")
+    return (np.array([getattr(pt, f) for f in fields]).tobytes(),
+            pt.q_tilde.rows.tobytes())
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32), n_s=st.integers(2, 3),
+       n_h=st.integers(2, 3), erm=st.booleans(), uniform=st.booleans(),
+       fracs=st.lists(st.sampled_from([0.0, 0.05, 0.3, 0.7, 0.99, 1.0, 1.5]),
+                      max_size=6))
+def test_prior_grid_matches_one_budget_solves(seed, n_s, n_h, erm, uniform,
+                                              fracs):
+    """One set-up for a grid gives each point's bits, rows included, as a
+    solve of that budget alone, now and before the grid shared a set-up;
+    the grid starts at 0 and reaches past the prior row's own distortion,
+    where the points share one rate-zero row."""
+    inst = random_instance(_rng(seed), n_concepts=3, n_symbols=n_s,
+                           n_hypotheses=n_h, m=1, concentration=0.2)
+    q = fit(LearningRule.erm() if erm else LearningRule.gibbs(2.0), inst)
+    prior = Distribution.uniform(n_h) if uniform else q.marginal
+    dmat, base = effective_distortion_matrix(inst, q)
+    delta_prior = float(inst.p_s @ (dmat @ prior.probs)) - base
+    grid = [0.0] + [f * max(delta_prior, 0.0) for f in fracs]
+    for eps, pt in zip(grid, _prior_grid(inst, q, prior, grid)):
+        assert _point_bits(pt) == \
+            _point_bits(solve_rd_with_prior(inst, q, eps, prior)) == \
+            _point_bits(_solve_with_prior_alone(inst, q, eps, prior))
+
+
 def test_rd_curve_invariants_and_shape():
     inst, q, span = _sharp_sender(9)
     eps = [0.0, 0.25 * span, 0.5 * span, 0.75 * span, 1.05 * span]
@@ -192,10 +268,10 @@ def test_rd_curve_rejects_unsorted_budgets():
 
 
 def _kl_bits_one_by_one(p, q, ref):
-    """The row loop _kl_bits replaces."""
+    """The row loop _kl_bits replaces, on the package's kernel."""
     total = 0.0
     for s in range(q.shape[0]):
-        total += p[s] * float(rel_entr(q[s], ref).sum())
+        total += p[s] * float(_rel_entr(q[s], ref).sum())
     return total / math.log(2.0)
 
 
@@ -344,10 +420,18 @@ def test_solve_dr_budget_of_float_dust():
 
 
 def test_solve_dr_zero_budget_is_the_best_constant_row():
+    """I(S;H) = 0 forces one row on every dataset, so the best constant row
+    is exact and needs no solve. Regression: on the tied world a budget of 0
+    took 20 Blahut-Arimoto solves up to mu = 2^19 and reported a gap of
+    1.65e-7."""
     inst, q, span = _sharp_sender(1013, n_symbols=4)
-    pt = solve_dr(inst, q, 0.0)
-    assert (pt.rate, pt.distortion, pt.duality_gap) == (0.0, span, 0.0)
-    assert (pt.q_tilde.rows == pt.q_tilde.rows[0]).all()
+    tie = _binary_symmetric_world()
+    for world, sender, d in ((inst, q, span),
+                             (tie, fit(LearningRule.erm(), tie), 0.5)):
+        pt = solve_dr(world, sender, 0.0)
+        assert (pt.rate, pt.distortion, pt.duality_gap, pt.iterations) == \
+            (0.0, d, 0.0, 0)
+        assert (pt.q_tilde.rows == pt.q_tilde.rows[0]).all()
     with pytest.raises(ValueError, match="rate_budget must be >= 0"):
         solve_dr(inst, q, -1e-3)
 

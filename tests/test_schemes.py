@@ -10,15 +10,19 @@ from beliefcomm import (
     LearningRule,
     compare_schemes,
     distortion_rate_bound,
+    d_sem,
     distortion_rate_bound_scheme2,
+    effective_distortion_matrix,
     enumerate_compressors,
     fit,
     random_instance,
     refit_on_compressed,
+    solve_rd_with_prior,
     verify_bound,
 )
 from beliefcomm.errors import InvariantViolationError
 from beliefcomm.schemes import BoundCheckRow, SchemeReport, canonical_partition
+from conftest import sharp_sender
 
 LOG2 = math.log(2.0)
 
@@ -183,17 +187,18 @@ def test_verify_bound_clean_on_random_instances():
 
 
 def test_verify_bound_solves_the_budget_zero_point_once(monkeypatch):
-    """A grid that starts at 0 reuses the reference solve: one solve per budget."""
+    """A grid that starts at 0 reuses the reference solve: the grid solver
+    gets each budget once."""
     from beliefcomm import schemes
 
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return solve(*args, **kwargs)
+    def counted(instance, q_sender, prior, epsilons, **kwargs):
+        calls.extend(epsilons)
+        return solve(instance, q_sender, prior, epsilons, **kwargs)
 
-    solve = schemes.solve_rd_with_prior
-    monkeypatch.setattr(schemes, "solve_rd_with_prior", counted)
+    solve = schemes._prior_grid
+    monkeypatch.setattr(schemes, "_prior_grid", counted)
     inst = random_instance(np.random.default_rng(3), n_concepts=2,
                            n_symbols=2, n_hypotheses=2, m=1)
     q = fit(LearningRule.gibbs(1.0), inst)
@@ -203,4 +208,18 @@ def test_verify_bound_solves_the_budget_zero_point_once(monkeypatch):
     assert sorted(calls) == grid
     # the reused point is the one a fresh budget-zero solve returns
     assert rows[0].rate == rows[0].r_star == \
-        solve(inst, q, 0.0, q.marginal, rate_tol=1e-8).rate
+        solve_rd_with_prior(inst, q, 0.0, q.marginal, rate_tol=1e-8).rate
+
+
+def test_verify_bound_rows_match_one_budget_solves():
+    """Each row's rate and measured distortion are those of a solve of its
+    budget alone, on a grid past the prior row's own distortion, where the
+    points share one row and one measurement."""
+    inst, q, _ = sharp_sender(11)
+    dmat, base = effective_distortion_matrix(inst, q)
+    delta_prior = float(inst.p_s @ (dmat @ q.marginal.probs)) - base
+    grid = [f * delta_prior for f in (0.0, 0.25, 0.5, 1.0, 1.5, 3.0)]
+    for eps, row in zip(grid, verify_bound(inst, q, q.marginal, grid)):
+        pt = solve_rd_with_prior(inst, q, eps, q.marginal, rate_tol=1e-8)
+        assert (row.epsilon, row.rate, row.measured) == \
+            (eps, pt.rate, d_sem(q, pt.q_tilde, inst))

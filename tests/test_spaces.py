@@ -1,6 +1,7 @@
 """Alphabets, distributions, and the induced dataset space."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.special import logsumexp
+from scipy.special import logsumexp, rel_entr, xlogy
 
 from beliefcomm import (
     Distribution,
@@ -30,6 +31,7 @@ from beliefcomm.spaces import (
     _clean_probs,
     _clean_rows,
     _logsumexp_rows,
+    _rel_entr,
     enumerate_datasets,
     problem_instance_from_json,
     problem_instance_to_json,
@@ -190,6 +192,46 @@ def test_logsumexp_rows_matches_scipy_bit_for_bit(a, dead_row):
         warnings.simplefilter("error")  # scipy is silent on every one of these
         got = _logsumexp_rows(a)
     assert _bits(got) == _bits(logsumexp(a, axis=1))
+
+
+def _assert_within_ulps(got, want, ulps):
+    """Same zeros, infinities and nans; elsewhere at most ulps apart."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    for pattern in (np.isnan, np.isinf, lambda v: v == 0):
+        assert np.array_equal(pattern(got), pattern(want))
+    both = np.isfinite(want) & (want != 0)
+    assert np.all(np.abs(got[both] - want[both])
+                  <= ulps * np.spacing(np.abs(want[both])))
+
+
+# zeros, subnormals (a ratio that underflows or overflows) and near-equal
+# pairs (the log1p branch)
+_NONNEG = st.one_of(
+    st.floats(0.0, 1.0), st.floats(0.0, 1e3),
+    st.sampled_from([0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                     1e-300, 0.5, 1.0]))
+
+
+@_SETTINGS
+@given(x=hnp.arrays(float, st.integers(1, 30), elements=_NONNEG),
+       data=st.data())
+def test_rel_entr_matches_scipy_within_2_ulp(x, data):
+    y = data.draw(hnp.arrays(float, x.shape, elements=_NONNEG))
+    near = data.draw(hnp.arrays(float, x.shape,
+                                elements=st.floats(0.45, 2.2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # scipy is silent here too
+        got, got_near = _rel_entr(x, y), _rel_entr(x, x * near)
+    _assert_within_ulps(got, rel_entr(x, y), 2)
+    _assert_within_ulps(got_near, rel_entr(x, x * near), 2)
+
+
+@_SETTINGS
+@given(v=_NONNEG)
+def test_entropy_bits_term_matches_xlogy_within_2_ulp(v):
+    """One entry's term, 0 log 0 = 0 included, against scipy's xlogy."""
+    _assert_within_ulps(entropy_bits(np.array([v])),
+                        -float(xlogy(v, v)) / math.log(2.0), 2)
 
 
 def _rows_one_by_one(values, what):
