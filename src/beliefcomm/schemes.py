@@ -242,15 +242,14 @@ def verify_bound(instance: ProblemInstance, q_alice: Posterior,
     """
     grid = [float(eps) for eps in epsilon_grid]
     # a budget of 0 is the reference point itself; the solve is deterministic
-    zero, *solved = _prior_grid(instance, q_alice, prior,
-                                [0.0] + [eps for eps in grid if eps != 0.0],
-                                rate_tol=_VERIFY_RATE_TOL)
-    solved = iter(solved)
-    r_star = zero.rate
+    budgets = [0.0] + [eps for eps in grid if eps != 0.0]
+    points = dict(zip(budgets, _prior_grid(instance, q_alice, prior, budgets,
+                                           rate_tol=_VERIFY_RATE_TOL)))
+    r_star = points[0.0].rate
     rows = []
     q_measured = measured = None
     for eps in grid:
-        point = zero if eps == 0.0 else next(solved)
+        point = points[eps]
         delta_r = max(r_star - point.rate, 0.0)
         bound = distortion_rate_bound(delta_r, instance.hypotheses.l_max)
         # budgets the prior row meets share one point

@@ -8,9 +8,9 @@ information, all in bits. It also holds the package's one log-sum-exp over
 rows (_logsumexp_rows), which the closed-form solver and the gibbs learner
 share, and its one validator of probability rows (_clean_rows), which every
 posterior and data law goes through, and its one relative-entropy kernel
-(_rel_entr), which every divergence goes through. (The Blahut-Arimoto loop
-in rate_distortion keeps its own max-shifted reductions: their bits differ.)
-The package needs numpy alone at run time.
+(_rel_entr), which kl_divergence and the solvers' rates go through. (The
+Blahut-Arimoto loop in rate_distortion keeps its own max-shifted
+reductions: their bits differ.) The package needs numpy alone at run time.
 """
 
 from __future__ import annotations

@@ -187,8 +187,6 @@ def test_prior_solver_feasible_at_budget():
 
 def _solve_with_prior_alone(instance, q_sender, epsilon, prior):
     """solve_rd_with_prior as it was before grids shared one set-up."""
-    if not epsilon >= 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
     dmat, baseline = effective_distortion_matrix(instance, q_sender)
     keep = instance.p_s > 0
     p, dk = instance.p_s[keep], dmat[keep]
