@@ -47,10 +47,9 @@ _DOMAIN_DATA = 2
 DEFAULT_SLACK = 4.0
 DEFAULT_CANDIDATE_CAP = 2**22
 DEFAULT_BLOCK_CAP = 2**16
-# largest nominal tuple count |H|^K that induced_distribution_exact takes on
-_EXACT_LAW_CAP = 10**6
 
-# uniforms per kernel evaluation and per encoder chunk; bounds the working set
+# uniforms per kernel evaluation and per encoder chunk, and quadrature node
+# times outcomes per chunk of the exact law; bounds the working set
 _CHUNK = 2**13
 _MAX_PATH_WORDS = 3
 
@@ -370,47 +369,39 @@ def decode_mrc(record, p: Distribution, cr: CommonRandomness,
     return int(decode_batch([index], p, [n_candidates], cr, [stream])[0])
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first, *rest)
-
-
 def induced_distribution_exact(q: Distribution, p: Distribution,
                                n_candidates: int) -> Distribution:
-    """Exact output law of the coder, by enumerating candidate multisets.
+    """Exact output law of the coder with K = n_candidates, at any K.
 
-    Orderings collapse into multinomial counts, so the sum runs over
-    compositions of K rather than all |H|^K tuples; the cap still guards the
-    nominal tuple count. Matches the tuple-recursion oracle to float
-    precision.
+    With r = q/p and phi(t) = sum_j p_j exp(-t r_j), the chance that the
+    encoder selects outcome h is K q_h int_0^inf exp(-t r_h) phi(t)^(K-1) dt,
+    since 1/x is the integral of exp(-t x). The integral is a trapezoid sum
+    in u = log t with step 1/4 over [log(1e-18/K), log(800/min r)], where the
+    integrand is doubly exponentially small at both ends, so the sum is
+    exact to rounding. K draws that all land on zero-weight outcomes Z fall
+    back to a uniform index, adding p_h p(Z)^(K-1) to each h in Z. K = 1 is
+    exactly p. Like the coder, it needs q absolutely continuous w.r.t. p.
     """
-    n = len(p)
-    if n**n_candidates > _EXACT_LAW_CAP:
-        raise EnumerationCapError(
-            f"|H|^K = {n}^{n_candidates} exceeds cap {_EXACT_LAW_CAP}; "
-            "use a sampled estimate instead"
-        )
-    ratio = np.where(p.probs > 0, q.probs / np.where(p.probs > 0, p.probs, 1.0), 0.0)
-    out = np.zeros(n)
-    for counts in _compositions(n_candidates, n):
-        c = np.array(counts)
-        if np.any((c > 0) & (p.probs == 0)):
-            continue
-        coeff = math.factorial(n_candidates)
-        for k in counts:
-            coeff //= math.factorial(k)
-        prob = coeff * float(np.prod(p.probs**c))
-        pool = c * ratio
-        total = pool.sum()
-        if total > 0:
-            out += prob * pool / total
-        else:
-            out += prob * c / n_candidates
-    return Distribution(out)
+    k, pp = n_candidates, p.probs
+    if np.any((q.probs > 0) & (pp == 0)):
+        raise SupportViolationError("the target puts mass outside the prior's support")
+    if k == 1:
+        return p
+    r = q.probs / np.where(pp > 0, pp, 1.0)
+    zero = (pp > 0) & (r == 0)
+    out = np.where(zero, pp * pp[zero].sum() ** (k - 1), 0.0)
+    u = np.arange(math.log(1e-18 / k),
+                  math.log(800.0) - math.log(r[r > 0].min()) + 0.25, 0.25)
+    mass, step = np.zeros(len(pp)), max(1, _CHUNK // len(pp))
+    for start in range(0, len(u), step):
+        uc = u[start:start + step]
+        tr = np.exp(uc)[:, None] * r
+        # phi - 1 >= -1 up to rounding; with no zero-weight outcome phi
+        # reaches 0, and its log -inf leaves no mass
+        with np.errstate(divide="ignore"):
+            log_phi = np.log1p(np.maximum(np.expm1(-tr) @ pp, -1.0))
+        mass += np.exp(uc + (k - 1) * log_phi) @ np.exp(-tr)
+    return Distribution(out + 0.25 * k * q.probs * mass)
 
 
 @dataclass(frozen=True)

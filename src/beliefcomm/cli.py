@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import platform
@@ -22,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel_coding import CommonRandomness, code_sequence, encode_batch, \
-    induced_distribution_exact, inverse_cdf_sample
+from .channel_coding import DEFAULT_BLOCK_CAP, CommonRandomness, \
+    code_sequence, induced_distribution_exact, inverse_cdf_sample
 from .coordination import (
     SequenceTrace,
     d_avg_seq,
@@ -66,9 +67,8 @@ _MAIN_KEYS = ("command", "config", "out", "with_oracle")
 _LIST_FLAGS = {"epsilons": float, "n_list": int}
 # numeric settings: the type that converts them and their least value (None
 # for a float setting, which must be finite)
-_NUMERIC = {"n": (int, 1), "trials": (int, 1), "tv_trials": (int, 1),
-            "instances": (int, 0), "slack": (float, None),
-            "rate_budget": (float, None)}
+_NUMERIC = {"n": (int, 1), "trials": (int, 1), "instances": (int, 0),
+            "slack": (float, None), "rate_budget": (float, None)}
 
 
 def _fmt(x) -> str:
@@ -245,6 +245,12 @@ def _cmd_rd_curve(cfg, with_oracle):
     return table, checks if with_oracle else None
 
 
+def _tuple_law(rows) -> Distribution:
+    """The product of probability rows on their tuple alphabet, first
+    position slowest."""
+    return Distribution(functools.reduce(np.multiply.outer, rows).ravel())
+
+
 def _cmd_code(cfg, with_oracle):
     instance, _, q_alice = _get_sender(cfg)
     prior = _get_prior(cfg, q_alice, instance.n_hypotheses)
@@ -254,7 +260,10 @@ def _cmd_code(cfg, with_oracle):
     mode = cfg.get("mode", "per_symbol")
     if mode not in ("per_symbol", "block"):
         raise ConfigError("/mode", f"unknown mode {mode!r}")
-    tv_trials = _setting(cfg, "tv_trials", 512)
+    n_h = len(prior)
+    if mode == "block" and n_h**n > DEFAULT_BLOCK_CAP:
+        raise EnumerationCapError(f"block alphabet |H|^n = {n_h}^{n} exceeds "
+                                  f"cap {DEFAULT_BLOCK_CAP}")
     cr = CommonRandomness(seed)
     s_seq = inverse_cdf_sample(instance.p_s, cr.data_stream(0).random(n))
     cr.tally(n)
@@ -262,51 +271,36 @@ def _cmd_code(cfg, with_oracle):
     # message j carries positions msgs[j]: one each per symbol, all in a block
     width = 1 if mode == "per_symbol" else n
     msgs = np.arange(n).reshape(-1, width)
-    recs = [coded.records[i // width] for i in range(n)]
     row_dists = [Distribution(q_alice.rows[s]) for s in s_seq]
+    prior_w = _tuple_law([prior.probs] * width)
 
-    def exact_law(row_dist, k):
-        """TV of the exact induced law, plus its oracle check; None past the cap."""
-        try:
-            induced = induced_distribution_exact(row_dist, prior, k)
-        except EnumerationCapError:
-            return None
-        tv, check = total_variation(induced, row_dist), None
-        if with_oracle and len(prior) ** k <= 4096:
-            ref = mrc_enumeration_oracle(row_dist, prior, k)
-            diff = total_variation(induced, ref)
-            check = (total_variation(ref, row_dist), diff, diff <= 1e-12)
-        return tv, check
+    def tvs(law, targets):
+        """TV of each position's marginal of a law on H^width to its target."""
+        cube = law.probs.reshape((n_h,) * width)
+        return [total_variation(np.moveaxis(cube, i, 0).reshape(n_h, -1).sum(1), t)
+                for i, t in enumerate(targets)]
 
-    # a symbol's exact law, shared by the positions with its dataset and K
-    laws, tvs, oracle_rows = {}, {}, []
-    for i in range(n) if width == 1 else ():
-        key = (int(s_seq[i]), recs[i].n_candidates)
+    # messages with the same datasets and K share one law
+    laws, tv, oracle_rows = {}, [], []
+    for pos, rec in zip(msgs.tolist(), coded.records):
+        targets, k = [row_dists[i] for i in pos], rec.n_candidates
+        key = (tuple(s_seq[pos].tolist()), k)
         if key not in laws:
-            laws[key] = exact_law(row_dists[i], recs[i].n_candidates)
-        if laws[key] is None:
-            continue
-        tvs[i], check = laws[key]
-        if check is not None:
-            oracle_rows.append(("mrc_induced", f"position={i}", tvs[i], *check))
-    # a Monte Carlo estimate of every other message's per-position law: trial
-    # j of message m on stream (10**6 + j, m), all of them in one batch
-    mc = np.array([m for m, pos in enumerate(msgs) if pos[0] not in tvs],
-                  dtype=np.int64)
-    if len(mc):
-        paths = np.column_stack([10**6 + np.repeat(np.arange(tv_trials), len(mc)),
-                                 np.tile(mc, tv_trials)])
-        targets = np.array([d.probs for d in row_dists])[msgs[mc]]
-        est = encode_batch(np.tile(targets, (tv_trials, 1, 1)), prior,
-                           np.tile([coded.records[m].n_candidates for m in mc],
-                                   tv_trials), cr, paths)
-        hits = np.zeros((n, len(prior)))
-        np.add.at(hits, (np.tile(msgs[mc], (tv_trials, 1)), est.sample), 1.0)
-        for i in msgs[mc].ravel().tolist():
-            tvs[i] = total_variation(hits[i] / tv_trials, row_dists[i])
+            target = _tuple_law([t.probs for t in targets])
+            law, checks = induced_distribution_exact(target, prior_w, k), []
+            # the oracle recurses K deep; K <= 12 is implied at |H| >= 2
+            if with_oracle and k <= 12 and len(prior_w) ** k <= 4096:
+                ref = mrc_enumeration_oracle(target, prior_w, k)
+                diff = total_variation(law, ref)
+                checks = [(x, diff, diff <= 1e-12) for x in tvs(ref, targets)]
+            laws[key] = tvs(law, targets), checks
+        tv += laws[key][0]
+        oracle_rows += [("mrc_induced", f"position={i}", x, *c)
+                        for i, x, c in zip(pos, laws[key][0], laws[key][1])]
+    recs = [coded.records[i // width] for i in range(n)]
     rows = [(i, kl_divergence(row_dists[i], prior), rec.n_candidates,
-             rec.index_bits, tvs[i], rec.fallback) for i, rec in enumerate(recs)]
-    return ((["position", "kl_bits", "K", "index_bits", "tv_exact_or_estimate",
+             rec.index_bits, tv[i], rec.fallback) for i, rec in enumerate(recs)]
+    return ((["position", "kl_bits", "K", "index_bits", "tv_exact",
               "flagged_fallback"], rows),
             oracle_rows if with_oracle else None)
 
@@ -328,13 +322,14 @@ def _cmd_coordinate(cfg, with_oracle):
 
 def _cmd_example1(cfg, with_oracle):
     seed = _get_seed(cfg)
-    n_list = cfg.get("n_list")
-    if n_list is None:
-        n_list = [_setting(cfg, "n", None)] if "n" in cfg else \
-            [2, 3, 4, 5, 8, 16, 32, 50]
+    n_list, key = cfg.get("n_list"), "/n_list"
+    if n_list is None and "n" in cfg:
+        n_list, key = [_setting(cfg, "n", None)], "/n"
+    elif n_list is None:
+        n_list = [2, 3, 4, 5, 8, 16, 32, 50]
     if not isinstance(n_list, list) or \
             not all(isinstance(n, int) and n >= 2 for n in n_list):
-        raise ConfigError("/n_list", "need a list of integers >= 2")
+        raise ConfigError(key, "need integers >= 2")
     rows, oracle_rows = [], []
     world = two_hypothesis_world()
     for n in n_list:
@@ -487,7 +482,6 @@ _FLAGS = {
     "--n-list": {"help": "comma-separated lengths"},
     "--slack": {"type": float},
     "--mode": {"choices": ["per_symbol", "block"]},
-    "--tv-trials": {"type": int},
     "--trials": {"type": int},
     "--rate-budget": {"type": float},
     "--instances": {"type": int},
@@ -498,8 +492,7 @@ COMMANDS = {
     "rd-curve": ("rate-distortion curve over a budget grid", _cmd_rd_curve,
                  "--with-oracle --instance --epsilons --prior"),
     "code": ("one-shot code a sampled dataset sequence", _cmd_code,
-             "--seed --with-oracle --instance --n --slack --mode --prior "
-             "--tv-trials"),
+             "--seed --with-oracle --instance --n --slack --mode --prior"),
     "coordinate": ("strong per-position tracking estimate", _cmd_coordinate,
                    "--seed --instance --n --trials --slack"),
     "example1": ("the alternating-schedule walkthrough", _cmd_example1,
@@ -513,6 +506,7 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="beliefcomm",

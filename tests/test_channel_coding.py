@@ -1,10 +1,11 @@
 """Channel simulation: shared randomness, the coder, and its output law."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from beliefcomm import (
     CodeRecord,
@@ -20,6 +21,7 @@ from beliefcomm import (
     kl_divergence,
     mrc_enumeration_oracle,
     single_shot_bounds,
+    total_variation,
     two_hypothesis_world,
 )
 from beliefcomm.channel_coding import (
@@ -32,7 +34,7 @@ from beliefcomm.channel_coding import (
     encode_batch,
     inverse_cdf_sample,
 )
-from beliefcomm.errors import EnumerationCapError
+from beliefcomm.errors import EnumerationCapError, SupportViolationError
 
 
 def test_streams_are_reproducible_across_instances():
@@ -111,11 +113,67 @@ def test_induced_law_degenerate_target_hand_value():
     np.testing.assert_allclose(ex.probs, [0.75, 0.25], atol=1e-15)
 
 
-def test_induced_law_respects_cap():
-    q = Distribution([0.9, 0.1])
-    p = Distribution([0.5, 0.5])
-    with pytest.raises(EnumerationCapError):
-        induced_distribution_exact(q, p, 25)
+def _two_outcome_law(q, p, k):
+    """The coder's law on two outcomes as a sum over the count c of candidates
+    showing outcome 0. Each binomial weight C(K, c) p0^c p1^(K-c) is formed
+    in 40-digit decimal arithmetic from the exact doubles, rounded once to a
+    double, and the terms are summed by fsum."""
+    r = [qh / ph if ph > 0 else 0.0 for qh, ph in zip(q.probs, p.probs)]
+    terms = []
+    with localcontext() as ctx:
+        ctx.prec = 40
+        p0, p1 = (Decimal(x) for x in p.probs.tolist())
+        for c in range(k + 1):
+            w = float(math.comb(k, c) * p0**c * p1**(k - c))
+            pool = c * r[0] + (k - c) * r[1]
+            terms.append(w * (c * r[0] / pool if pool > 0 else c / k))
+    p0 = math.fsum(terms)
+    return np.array([p0, 1.0 - p0])
+
+
+@pytest.mark.parametrize("q, p", [
+    ([0.9, 0.1], [0.5, 0.5]),
+    ([0.02, 0.98], [0.7, 0.3]),
+    ([1.0, 0.0], [0.999, 0.001]),
+    ([0.0, 1.0], [0.999, 0.001]),
+])
+@pytest.mark.parametrize("k", [2, 25, 256, 2000])
+def test_induced_law_at_large_k_matches_binomial_sum(q, p, k):
+    """The integral law has no cap: K = 25 is past the 10^6 tuples the old
+    composition sum took, and K = 2000 far past it."""
+    q, p = Distribution(q), Distribution(p)
+    ex = induced_distribution_exact(q, p, k)
+    np.testing.assert_allclose(ex.probs, _two_outcome_law(q, p, k),
+                               rtol=0, atol=1e-13)
+
+
+def _sparse_law(n):
+    """A probability vector of length n that often has zero entries."""
+    return st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                    min_size=n, max_size=n).filter(lambda v: sum(v) > 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4).flatmap(
+    lambda n: st.tuples(_sparse_law(n), _sparse_law(n),
+                        st.integers(1, {2: 10, 3: 6, 4: 5}[n]))))
+def test_induced_law_matches_tuple_oracle_property(case):
+    """The integral law against the ordered-tuple recursion, zero entries in
+    p and q included: a zero of q where p has mass is a zero-weight outcome,
+    so its K candidates can all miss and fall back."""
+    q_raw, p_raw, k = case
+    p = Distribution(np.array(p_raw) / sum(p_raw))
+    q_raw = [x if y > 0 else 0.0 for x, y in zip(q_raw, p_raw)]
+    assume(sum(q_raw) > 0)
+    q = Distribution(np.array(q_raw) / sum(q_raw))
+    ex = induced_distribution_exact(q, p, k)
+    assert total_variation(ex, mrc_enumeration_oracle(q, p, k)) <= 1e-12
+
+
+def test_induced_law_refuses_a_target_off_the_prior_support():
+    with pytest.raises(SupportViolationError):
+        induced_distribution_exact(Distribution([0.5, 0.5]),
+                                   Distribution([1.0, 0.0]), 4)
 
 
 def test_encoder_frequencies_track_exact_law():

@@ -63,7 +63,7 @@ def test_code_csv_contract(tmp_path, instance_file):
                "--n", "6", "--seed", "3"])
     assert rc == 0
     assert _header(out / "code.csv") == \
-        "position,kl_bits,K,index_bits,tv_exact_or_estimate,flagged_fallback"
+        "position,kl_bits,K,index_bits,tv_exact,flagged_fallback"
     rows = _rows(out / "code.csv")
     assert len(rows) == 6
     for r in rows:
@@ -235,7 +235,7 @@ def test_unknown_mode_in_config_is_rejected(tmp_path, instance_file):
 
 @pytest.fixture
 def world3_file(tmp_path):
-    """An |H|=3 world: at the default slack its K is past the exact-law cap."""
+    """An |H|=3 world."""
     rng = np.random.default_rng(1)
     inst = random_instance(rng, n_concepts=3, n_symbols=3, n_hypotheses=3, m=1)
     path = tmp_path / "world3.json"
@@ -248,10 +248,9 @@ def world3_file(tmp_path):
     (["code", "--n", "-3"], None, "n"),
     (["code", "--n", "0"], None, "n"),
     (["example1"], {"n_list": 5}, "n_list"),
+    (["example1", "--n", "1"], None, "n"),
     (["coordinate"], {"trials": 0}, "trials"),
     (["coordinate", "--n", "0"], None, "n"),
-    (["code", "--tv-trials", "0"], None, "tv_trials"),
-    (["code", "--tv-trials", "-1"], None, "tv_trials"),
     (["compare-schemes"], {"rate_budget": "x"}, "rate_budget"),
     (["compare-schemes"], {"compressors": 5}, "compressors"),
     (["coordinate", "--slack", "nan"], None, "slack"),
@@ -263,8 +262,8 @@ def world3_file(tmp_path):
     (["rd-curve"], {"epsilons": [False, True]}, "epsilons"),
     (["rd-curve"], {"prior": [True, False, False]}, "prior"),
 ], ids=["code-n-abc", "code-n-neg", "code-n-0", "example1-n_list-5",
-        "coordinate-trials-0", "coordinate-n-0", "code-tv_trials-0",
-        "code-tv_trials-neg", "compare-rate_budget-x", "compare-compressors-5",
+        "example1-n-1", "coordinate-trials-0", "coordinate-n-0",
+        "compare-rate_budget-x", "compare-compressors-5",
         "coordinate-slack-nan", "code-n-true", "code-slack-true",
         "coordinate-trials-true", "verify-instances-true",
         "compare-rate_budget-false", "rd-curve-epsilons-bools",
@@ -280,7 +279,7 @@ def test_bad_settings_exit_2(tmp_path, world3_file, capsys, argv, config,
         argv = argv + ["--config", str(cfg)]
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 2
-    assert f"config error: /{key}" in capsys.readouterr().err
+    assert f"config error: /{key}:" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 
@@ -301,6 +300,7 @@ def test_numeric_settings_convert_like_int_and_float(tmp_path):
     ["audit", "--with-oracle"],
     ["rd-curve", "--seed", "1"],
     ["compare-schemes", "--seed", "1"],
+    ["code", "--tv-trials", "512"],
 ], ids=lambda argv: f"{argv[0]}-{argv[1].lstrip('-')}")
 def test_flags_that_did_nothing_are_rejected(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
@@ -371,8 +371,8 @@ def test_inputs_that_crashed_exit_2(tmp_path, instance_file, capsys, argv,
 
 def test_block_rows_report_the_block_coder(tmp_path):
     """Block-mode TV is the block coder's per-position law, not a per-symbol
-    coder's at the block's K: each row lands within 0.01 of the exact law,
-    from the tuple-recursion oracle on the product alphabet, marginalised."""
+    coder's at the block's K: each row matches the exact law, from the
+    tuple-recursion oracle on the product alphabet, marginalised."""
     from itertools import product
 
     from beliefcomm import (CommonRandomness, Distribution, LearningRule, fit,
@@ -389,7 +389,7 @@ def test_block_rows_report_the_block_coder(tmp_path):
     out = tmp_path / "o"
     assert main(["code", "--instance", str(path), "--config", str(cfg),
                  "--n", "3", "--mode", "block", "--slack", "0", "--seed", "4",
-                 "--tv-trials", "20000", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     rows = _rows(out / "code.csv")
     k = int(rows[0][2])
     assert k == 4 and all(int(r[2]) == k for r in rows)
@@ -410,7 +410,45 @@ def test_block_rows_report_the_block_coder(tmp_path):
         for hs, mass in zip(tuples, joint.probs):
             marginal[hs[i]] += mass
         exact = total_variation(marginal, targets[i])
-        assert abs(float(row[4]) - exact) <= 0.01, (i, row[4], exact)
+        assert abs(float(row[4]) - exact) <= 1e-12, (i, row[4], exact)
+
+
+def test_block_oracle_checks_the_block_law(tmp_path, instance_file):
+    """A block whose tuple count |H|^(nK) is at most 4096 gets an oracle
+    row per position, and every one of them passes."""
+    out = tmp_path / "o"
+    assert main(["code", "--instance", instance_file, "--n", "2", "--mode",
+                 "block", "--slack", "0", "--seed", "4", "--with-oracle",
+                 "--out", str(out)]) == 0
+    k = int(_rows(out / "code.csv")[0][2])
+    assert 4**k <= 4096
+    checks = _rows(out / "oracle_checks.csv")
+    assert [r[:2] for r in checks] == [["mrc_induced", "position=0"],
+                                       ["mrc_induced", "position=1"]]
+    assert all(float(r[4]) <= 1e-12 and r[5] == "1" for r in checks)
+
+
+def test_oracle_skips_a_one_hypothesis_law_past_k_12(tmp_path):
+    """1^K <= 4096 at any K, but the tuple oracle recurses K deep: at K = 2048
+    it crashed with RecursionError. The law itself is the point mass."""
+    rng = np.random.default_rng(0)
+    inst = random_instance(rng, n_concepts=2, n_symbols=2, n_hypotheses=1, m=1)
+    path = tmp_path / "world1.json"
+    path.write_text(json.dumps(problem_instance_to_json(inst)))
+    out = tmp_path / "o"
+    assert main(["code", "--instance", str(path), "--n", "2", "--slack", "11",
+                 "--with-oracle", "--out", str(out)]) == 0
+    assert [r[2:5] for r in _rows(out / "code.csv")] == [["2048", "11.0", "0.0"]] * 2
+    assert _rows(out / "oracle_checks.csv") == []
+
+
+def test_block_past_the_alphabet_cap_exits_2(tmp_path, instance_file, capsys):
+    """The block law lives on H^n: 2^17 tuples are past DEFAULT_BLOCK_CAP."""
+    out = tmp_path / "o"
+    assert main(["code", "--instance", instance_file, "--n", "17", "--mode",
+                 "block", "--slack", "0", "--out", str(out)]) == 2
+    assert "|H|^n = 2^17 exceeds cap 65536" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("argv, config, key", [
