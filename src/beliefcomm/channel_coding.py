@@ -178,7 +178,9 @@ class CommonRandomness:
 
     def data_uniforms(self, paths, n: int) -> np.ndarray:
         """Uniforms 0..n-1 of each data stream paths[b], as a (B, n) array."""
-        return self._uniforms(_DOMAIN_DATA, _as_paths(paths), n)
+        u = self._uniforms(_DOMAIN_DATA, _as_paths(paths), n)
+        self.tally(u.size)
+        return u
 
     def tally(self, n_draws: int):
         self.bits_consumed += 64 * int(n_draws)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .channel_coding import CommonRandomness, code_messages, inverse_cdf_sample
 from .errors import NormalizationError, SupportViolationError
-from .learning import Posterior, d_sem, d_sem_rows
+from .learning import Posterior, d_sem_rows, effective_distortion_matrix
 from .spaces import ProblemInstance, total_variation
 from .worlds import two_hypothesis_world
 
@@ -69,16 +69,12 @@ def joint_type_from_pairs(dataset_seq, hyp_seq, n_datasets: int,
 
 def d_avg_seq(alice_rows, bob_rows, instance: ProblemInstance) -> float:
     """Arithmetic mean of the per-position semantic distortions."""
-    a = np.asarray(alice_rows, dtype=float)
-    b = np.asarray(bob_rows, dtype=float)
-    return float(np.mean([d_sem_rows(a[i], b[i], instance) for i in range(len(a))]))
+    return float(np.mean(d_sem_rows(alice_rows, bob_rows, instance)))
 
 
 def d_max_seq(alice_rows, bob_rows, instance: ProblemInstance) -> float:
     """Worst position; always >= the average."""
-    a = np.asarray(alice_rows, dtype=float)
-    b = np.asarray(bob_rows, dtype=float)
-    return float(np.max([d_sem_rows(a[i], b[i], instance) for i in range(len(a))]))
+    return float(np.max(d_sem_rows(alice_rows, bob_rows, instance)))
 
 
 def d_sem_from_joint_type(joint_type, q_alice: Posterior,
@@ -89,11 +85,9 @@ def d_sem_from_joint_type(joint_type, q_alice: Posterior,
     the sender side is the type-weighted mixture of the sender's rows.
     """
     t = np.asarray(joint_type, dtype=float)
-    tau = t.sum(axis=0)  # reproduction-side type over hypotheses
-    type_s = t.sum(axis=1)
-    mix = type_s @ q_alice.rows
-    lbar = instance.concepts.prior.probs @ instance.true_loss_table
-    return float((tau - mix) @ lbar)
+    # the type-mixed sender row against the reproduction-side type
+    return float(d_sem_rows(t.sum(axis=1) @ q_alice.rows, t.sum(axis=0),
+                            instance))
 
 
 def _one_hot_indices(rows) -> np.ndarray:
@@ -216,14 +210,12 @@ def simulate_strong(instance: ProblemInstance, q_target: Posterior, n: int,
     n_s, n_h = instance.n_datasets, instance.n_hypotheses
     counts = np.zeros((n, n_s, n_h))
     bits_total = 0.0
-    trace = None
     positions = np.arange(n)
     step = max(1, TRIAL_BLOCK_SYMBOLS // max(n, 1))
     for first in range(0, trials, step):
         block = np.arange(first, min(first + step, trials))
         s_seq = inverse_cdf_sample(instance.p_s,
                                    cr.data_uniforms(block[:, None], n))
-        cr.tally(s_seq.size)
         batch, recon, _ = code_messages(q_target, prior, s_seq[..., None], cr,
                                         block, slack=slack)
         recon = recon[..., 0]
@@ -232,15 +224,8 @@ def simulate_strong(instance: ProblemInstance, q_target: Posterior, n: int,
         bits = np.log2(batch.n_candidates)
         bits_total += float(bits.sum())
         if first == 0:
-            trace = SequenceTrace(
-                n=n,
-                datasets=tuple(s_seq[0].tolist()),
-                alice_rows=q_target.rows[s_seq[0]],
-                bob_rows=np.zeros((n, n_h)),  # re-filled below from estimates
-                joint_type=joint_type_from_pairs(s_seq[0], recon[0], n_s, n_h),
-                bits_used=float(bits[:n].sum()),
-                cr_bits=0,
-            )
+            # trial 0 is the realized sequence the trace shows
+            s0, recon0, bits0 = s_seq[0], recon[0], float(bits[:n].sum())
 
     cell_totals = counts.sum(axis=2)  # (n, n_s)
     seen = cell_totals > 0
@@ -248,12 +233,9 @@ def simulate_strong(instance: ProblemInstance, q_target: Posterior, n: int,
                         counts / np.where(seen, cell_totals, 1.0)[..., None],
                         prior.probs)
 
-    dmat = instance.dataset_space.posterior @ instance.true_loss_table
+    dmat, _ = effective_distortion_matrix(instance, q_target)
     p_s = instance.p_s
-    d_by_pos = np.array([
-        d_sem(q_target, Posterior.from_rows(rows_est[i], instance), instance)
-        for i in range(n)
-    ])
+    d_by_pos = np.einsum("s,ish,sh->i", p_s, rows_est - q_target.rows, dmat)
     mean_d = (rows_est * dmat).sum(axis=2)
     mean_d2 = (rows_est * dmat**2).sum(axis=2)
     live = seen & (p_s > 0)
@@ -276,9 +258,9 @@ def simulate_strong(instance: ProblemInstance, q_target: Posterior, n: int,
     bob_marg = counts.sum(axis=1)
     bob_marg /= bob_marg.sum(axis=1, keepdims=True)
     trace = SequenceTrace(
-        n=trace.n, datasets=trace.datasets, alice_rows=trace.alice_rows,
-        bob_rows=bob_marg, joint_type=trace.joint_type,
-        bits_used=trace.bits_used, cr_bits=cr.bits_consumed,
+        n=n, datasets=tuple(s0.tolist()), alice_rows=q_target.rows[s0],
+        bob_rows=bob_marg, joint_type=joint_type_from_pairs(s0, recon0, n_s, n_h),
+        bits_used=bits0, cr_bits=cr.bits_consumed,
     )
     return StrongCoordinationReport(
         trace=trace,

@@ -123,25 +123,28 @@ def dataset_scores(instance: ProblemInstance) -> np.ndarray:
     return scores
 
 
-def fit(rule: LearningRule, instance: ProblemInstance) -> Posterior:
-    """Run a learning rule on every dataset at once."""
-    n_s, n_h = instance.n_datasets, instance.n_hypotheses
-    if rule.kind == "map_table":
-        return Posterior.from_rows(rule.table, instance)
-    scores = dataset_scores(instance)
-    m = instance.dataset_space.m
+def _rule_rows(rule: LearningRule, scores: np.ndarray, m: int) -> np.ndarray:
+    """Rows of a gibbs or erm rule, one per row of ranking scores.
+
+    m is the dataset length: gibbs tempers the summed empirical loss, m times
+    the averaged score. erm splits its mass evenly over the near-ties of the
+    least score.
+    """
     if rule.kind == "gibbs":
         logits = -rule.beta * m * scores
-        rows = np.exp(logits - _logsumexp_rows(logits)[:, None])
-        return Posterior.from_rows(rows, instance)
+        return np.exp(logits - _logsumexp_rows(logits)[:, None])
     if rule.kind == "erm":
-        rows = np.zeros((n_s, n_h))
-        mins = scores.min(axis=1, keepdims=True)
-        ties = scores <= mins + ERM_TIE_TOL
-        rows[ties] = 1.0
-        rows /= rows.sum(axis=1, keepdims=True)
-        return Posterior.from_rows(rows, instance)
+        ties = scores <= scores.min(axis=1, keepdims=True) + ERM_TIE_TOL
+        return ties / ties.sum(axis=1, keepdims=True)
     raise ValueError(f"unknown rule kind {rule.kind!r}")
+
+
+def fit(rule: LearningRule, instance: ProblemInstance) -> Posterior:
+    """Run a learning rule on every dataset at once."""
+    if rule.kind == "map_table":
+        return Posterior.from_rows(rule.table, instance)
+    rows = _rule_rows(rule, dataset_scores(instance), instance.dataset_space.m)
+    return Posterior.from_rows(rows, instance)
 
 
 def d_sem(q_sender: Posterior, q_receiver: Posterior, instance: ProblemInstance) -> float:
@@ -178,16 +181,18 @@ def effective_distortion_matrix(instance: ProblemInstance,
     return dmat, baseline
 
 
-def d_sem_rows(row_sender, row_receiver, instance: ProblemInstance) -> float:
-    """Semantic distortion between two dataset-independent belief rows.
+def d_sem_rows(row_sender, row_receiver, instance: ProblemInstance):
+    """Semantic distortion between dataset-independent belief rows.
 
     Both rows are treated as constant learning rules, so the concept
-    expectation collapses onto the concept prior.
+    expectation collapses onto the concept prior. Stacks of rows broadcast
+    against each other and give one distortion per row: a float for two
+    single rows, an array of the stacks' shape otherwise.
     """
     a = np.asarray(row_sender, dtype=float)
     b = np.asarray(row_receiver, dtype=float)
     lbar = instance.concepts.prior.probs @ instance.true_loss_table  # (h,)
-    return float((b - a) @ lbar)
+    return (b - a) @ lbar
 
 
 def _check_rows(q: Posterior, instance: ProblemInstance):

@@ -164,11 +164,19 @@ def rd_grid_oracle(instance: ProblemInstance, q_sender, epsilon: float,
 
 def mrc_enumeration_oracle(q: Distribution, p: Distribution, n_candidates: int,
                            budget: OracleBudget = OracleBudget()) -> Distribution:
-    """Coder output law by recursing over ordered candidate tuples."""
+    """Coder output law by recursing over ordered candidate tuples.
+
+    The recursion is K deep and visits |H|^K tuples; both are bounded by
+    refusing max(|H|, 2)^K above the budget. K is tested against
+    log2(max_states) first, so no huge power is formed.
+    """
     n = len(p)
-    if n**n_candidates > budget.max_states:
+    base = max(n, 2)
+    if n_candidates > math.log2(budget.max_states) \
+            or base**n_candidates > budget.max_states:
         raise EnumerationCapError(
-            f"|H|^K = {n}^{n_candidates} exceeds budget {budget.max_states}"
+            f"max(|H|, 2)^K = {base}^{n_candidates} exceeds budget "
+            f"{budget.max_states}"
         )
     out = np.zeros(n)
     ratio = [q.probs[h] / p.probs[h] if p.probs[h] > 0 else 0.0 for h in range(n)]

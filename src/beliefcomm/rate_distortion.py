@@ -128,10 +128,12 @@ def _kl_bits(p: np.ndarray, q: np.ndarray, ref: np.ndarray) -> float:
 def _ba_lagrangian(p, dmat, sigma, tol_gap_nats):
     """Alternating minimization of I + sigma*<q,D> (nats) at fixed tilt sigma.
 
-    Returns (q, i_nats, avg_d, fw_gap_nats, iters). The Frank-Wolfe gap is a
-    true upper bound on the Lagrangian suboptimality of the returned iterate,
-    computed from the r-free form of the gradient so dead hypotheses cause no
-    log(0) trouble.
+    Returns (q, i_nats, avg_d, fw_gap_nats, iters). Each check prices the
+    iterate q(h|s) = r_h e^{-sigma d_sh} / z_s from the sums the step already
+    holds, z_s and Blahut's c_h = sum_s p_s e^{-sigma d_sh} / z_s: with the
+    output marginal m = p q = r c, the Lagrangian is -p.log z - m.log c, and
+    max log c - m.log c is the Frank-Wolfe gap, a true upper bound on its
+    suboptimality. Both stay finite where a hypothesis' mass underflows.
     """
     n_h = dmat.shape[1]
     log_r = np.full(n_h, -math.log(n_h))
@@ -139,9 +141,6 @@ def _ba_lagrangian(p, dmat, sigma, tol_gap_nats):
     last_f = np.inf
     window_f = np.inf
     check_every = 8
-    q = np.exp(tilt - tilt.max())  # placeholder until first diagnostics pass
-    i_nats = avg_d = 0.0
-    gap = np.inf
     for it in range(1, _MAX_INNER_ITERS + 1):
         # scipy's logsumexp dominates runtime on alphabets this small, so the
         # reductions are spelled out with plain max/exp/log
@@ -150,30 +149,27 @@ def _ba_lagrangian(p, dmat, sigma, tol_gap_nats):
         log_z = np.log(np.exp(a - m1[:, None]).sum(axis=1)) + m1
         x = tilt - log_z[:, None]
         m0 = x.max(axis=0)
-        log_t = np.log((p[:, None] * np.exp(x - m0[None, :])).sum(axis=0)) + m0
+        log_c = np.log((p[:, None] * np.exp(x - m0[None, :])).sum(axis=0)) + m0
         if it % check_every == 0 or it == _MAX_INNER_ITERS or it == 1:
             q = np.exp(a - log_z[:, None])
             avg_d = float(np.einsum("s,sh,sh->", p, q, dmat))
-            i_nats = float(p @ _rel_entr(q, p @ q).sum(axis=1))
-            f = i_nats + sigma * avg_d
-            # gradient of the Lagrangian per unit of p[s] is -log_z[s] -
-            # log_t[h]; the -log_z part cancels between the two gap terms
-            gap = float(-np.einsum("s,sh,h->", p, q, log_t) + log_t.max())
-            if gap < tol_gap_nats or abs(last_f - f) < 1e-12 * LOG2:
-                return q, i_nats, avg_d, max(gap, 0.0), it
+            m_log_c = float((p @ q) @ log_c)
+            f = -float(p @ log_z) - m_log_c
+            gap = max(float(log_c.max()) - m_log_c, 0.0)
+            # slow-crawl cutoff: progress over a 512-iteration window too
+            # small to matter. Out of iterations, the iterate is still
+            # primal-feasible and the gap an honest certificate; the caller
+            # folds the residual into its reported duality gap.
+            if gap < tol_gap_nats or abs(last_f - f) < 1e-12 * LOG2 \
+                    or (it % 512 == 0 and window_f - f < 1e-9) \
+                    or it == _MAX_INNER_ITERS:
+                return q, f - sigma * avg_d, avg_d, gap, it
             if it % 512 == 0:
-                # slow-crawl cutoff: progress this window too small to matter
-                if window_f - f < 1e-9:
-                    return q, i_nats, avg_d, max(gap, 0.0), it
                 window_f = f
             last_f = f
-        log_r = log_r + log_t
+        log_r = log_r + log_c
         mr = log_r.max()
         log_r -= mr + math.log(np.exp(log_r - mr).sum())
-    # Ran out of iterations. The iterate is still primal-feasible and the gap
-    # is an honest certificate, so hand both back and let the caller fold the
-    # residual into its reported duality gap.
-    return q, i_nats, avg_d, max(gap, 0.0), _MAX_INNER_ITERS
 
 
 def _check_budget(budget, name="epsilon"):
@@ -365,8 +361,8 @@ def solve_dr(instance: ProblemInstance, q_sender: Posterior,
         # Blahut's optimality condition at the constant row: no hypothesis
         # would gain mass from it (c_h <= c of the row's own hypothesis), so
         # it is the exact minimizer at this mu
-        c = p @ np.exp((LOG2 / mu) * (d_const[:, None] - dk))
-        if c.max() <= c @ row:
+        log_c = _logsumexp_rows(np.log(p) + (LOG2 / mu) * (d_const - dk.T))
+        if log_c.max() <= log_c @ row:
             return const, delta0, 0.0, delta0 - mu * rate_budget, 0
         q, i_nats, avg_d, fw_gap, it = _ba_lagrangian(
             p, dk, LOG2 / mu, 0.25 * _DR_TOL * LOG2 / mu

@@ -23,11 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundViolationError, InvariantViolationError
-from .learning import LearningRule, Posterior, d_sem, dataset_scores
+from .learning import (LearningRule, Posterior, _rule_rows, d_sem,
+                       dataset_scores)
 from .rate_distortion import _prior_grid, solve_dr, solve_rd
 from .spaces import (
     Distribution,
     ProblemInstance,
+    _clean_rows,
     mutual_information,
     problem_instance_to_json,
 )
@@ -134,27 +136,15 @@ def _refit(instance, rule, labels, scores) -> np.ndarray:
         raise ValueError("map_table rules cannot be refit on compressed data")
     if len(labels) != instance.n_datasets:
         raise ValueError("compressor must label every dataset")
-    n_cells = max(labels) + 1
-    p_s = instance.p_s
-    m = instance.dataset_space.m
-    rows = np.empty((n_cells, instance.n_hypotheses))
-    for cell in range(n_cells):
-        members = [s for s, c in enumerate(labels) if c == cell]
-        w = p_s[members]
-        if w.sum() > 0:
-            cell_score = w @ scores[members] / w.sum()
-        else:
-            cell_score = scores[members].mean(axis=0)
-        if rule.kind == "gibbs":
-            logits = -rule.beta * m * cell_score
-            logits -= logits.max()
-            e = np.exp(logits)
-            rows[cell] = e / e.sum()
-        else:  # erm
-            mins = cell_score.min()
-            ties = cell_score <= mins + 1e-12
-            rows[cell] = ties / ties.sum()
-    return rows
+    cells = np.asarray(labels)
+    member = np.eye(cells.max() + 1)[cells]  # (s, cell)
+    mass, count = instance.p_s @ member, member.sum(axis=0)
+    # in-cell weights P(s|cell); a cell without mass weighs its datasets evenly
+    weights = np.where(mass[cells] > 0, instance.p_s, 1.0) \
+        / np.where(mass > 0, mass, count)[cells]
+    # cleaned as fit's rows are, so an identity compressor reproduces fit
+    return _clean_rows(_rule_rows(rule, member.T @ (weights[:, None] * scores),
+                                  instance.dataset_space.m), "refit row")
 
 
 def _conditional_mi_given_h(joint3: np.ndarray) -> float:

@@ -99,6 +99,27 @@ def test_code_computes_each_exact_law_once(tmp_path, instance_file,
     assert len(_rows(out / "oracle_checks.csv")) == 16
 
 
+def test_code_counts_every_draw(tmp_path, instance_file, monkeypatch):
+    """64 bits per uniform: n data draws, K + 1 per encoded position and one
+    per decoded position."""
+    from beliefcomm import cli
+
+    made = []
+
+    class Recorded(cli.CommonRandomness):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(cli, "CommonRandomness", Recorded)
+    out = tmp_path / "out"
+    assert main(["code", "--instance", instance_file, "--out", str(out),
+                 "--n", "6", "--slack", "2", "--seed", "3"]) == 0
+    ks = [int(r[2]) for r in _rows(out / "code.csv")]
+    (cr,) = made
+    assert cr.bits_consumed == 64 * (6 + sum(k + 1 for k in ks) + 6) == 3072
+
+
 def test_coordinate_csv_contract(tmp_path, instance_file):
     out = tmp_path / "out"
     rc = main(["coordinate", "--instance", instance_file, "--out", str(out),

@@ -196,7 +196,9 @@ def _strong_by_trial_loop(inst, q, n, seed, trials, slack):
             if inst.p_s[s] > 0:
                 tv_max = max(tv_max, total_variation(rows[s], q.rows[s]))
         var_by_pos.append(var)
-    return bits / (n * trials), d_by_pos, var_by_pos, tv_max
+    # the coder tallied its own draws; the data draws are n per trial
+    drawn = cr.bits_consumed + 64 * n * trials
+    return bits / (n * trials), d_by_pos, var_by_pos, tv_max, drawn
 
 
 def test_simulate_strong_matches_trial_by_trial_coding():
@@ -206,10 +208,11 @@ def test_simulate_strong_matches_trial_by_trial_coding():
     q = fit(LearningRule.gibbs(2.0), inst)
     n = 3
     trials = TRIAL_BLOCK_SYMBOLS // n + 7  # spans two batch blocks
-    rep = simulate_strong(inst, q, n=n, cr=CommonRandomness(4), trials=trials,
-                          slack=2.0)
-    bits, d_by_pos, var_by_pos, tv_max = _strong_by_trial_loop(
+    cr = CommonRandomness(4)
+    rep = simulate_strong(inst, q, n=n, cr=cr, trials=trials, slack=2.0)
+    bits, d_by_pos, var_by_pos, tv_max, drawn = _strong_by_trial_loop(
         inst, q, n, 4, trials, 2.0)
+    assert cr.bits_consumed == rep.trace.cr_bits == drawn
     i_max = int(np.argmax(d_by_pos))
     assert rep.bits_per_symbol == pytest.approx(bits, rel=1e-12)
     assert rep.d_avg_est == pytest.approx(np.mean(d_by_pos), abs=1e-12)

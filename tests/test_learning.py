@@ -134,6 +134,22 @@ def test_d_sem_rows_two_hypothesis_world():
     assert abs(d_sem_rows(uniform, np.array([1.0, 0.0]), w) + 0.5) < 1e-15
 
 
+def test_d_sem_rows_takes_stacks_of_rows():
+    """Stacks broadcast and give one distortion per row, as row by row."""
+    inst = random_instance(_rng(3), n_concepts=3, n_symbols=2,
+                           n_hypotheses=4, m=1)
+    a, b = _rng(4).dirichlet(np.ones(4), size=(2, 2, 5))  # each (2, 5, 4)
+    got = d_sem_rows(a, b, inst)
+    assert got.shape == (2, 5)
+    want = [[d_sem_rows(x, y, inst) for x, y in zip(ra, rb)]
+            for ra, rb in zip(a, b)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    one_sender = d_sem_rows(a[0, 0], b[0], inst)
+    np.testing.assert_allclose(
+        one_sender, [d_sem_rows(a[0, 0], y, inst) for y in b[0]],
+        rtol=0, atol=1e-15)
+
+
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 10**6), t=st.floats(0.0, 1.0))
 def test_d_sem_affine_in_receiver(seed, t):

@@ -88,6 +88,17 @@ def test_mrc_oracle_budget_cap():
         mrc_enumeration_oracle(q, p, 8, budget=OracleBudget(max_states=100))
 
 
+def test_mrc_oracle_caps_its_recursion_depth_on_one_hypothesis():
+    """Regression: at |H| = 1 there is one candidate tuple at any K, so the
+    tuple count never hit the cap and K = 2,048 recursed past Python's
+    limit. max(|H|, 2)^K is capped instead: K <= log2(1e7) runs."""
+    one = Distribution([1.0])
+    assert mrc_enumeration_oracle(one, one, 23).probs.tolist() == [1.0]
+    for k in (24, 2048, 2**22):
+        with pytest.raises(EnumerationCapError):
+            mrc_enumeration_oracle(one, one, k)
+
+
 def test_sequence_oracle_on_the_walkthrough_trace():
     res = run_example_1(4)
     avg, worst = sequence_distortion_oracle(res.trace, two_hypothesis_world())

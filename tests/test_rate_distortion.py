@@ -29,15 +29,20 @@ from beliefcomm import (
     two_hypothesis_world,
 )
 from beliefcomm.errors import InvariantViolationError, SupportViolationError
+from beliefcomm import rate_distortion
 from beliefcomm.rate_distortion import (
+    _DR_TOL,
     DEFAULT_RATE_TOL,
     FEAS_DUST,
+    LOG2,
+    _ba_lagrangian,
     _bisect_slope,
     _constant_point,
     _distortion,
     _kl_bits,
     _point,
     _prior_grid,
+    _setup,
 )
 from beliefcomm.spaces import _logsumexp_rows, _rel_entr
 from conftest import philox_rng as _rng, sharp_sender as _sharp_sender
@@ -291,6 +296,57 @@ def test_kl_bits_matches_the_row_loop(n_s, n_h, data):
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
+def _i_nats_by_row_divergence(p, q):
+    """I(S;H) in nats as E_S D(q(.|s) || p q), the reference for the rate
+    the Blahut-Arimoto step prices from its own sums."""
+    return float(p @ _rel_entr(q, p @ q).sum(axis=1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(n_s=st.integers(1, 6), n_h=st.integers(1, 5),
+       sigma=st.floats(0.0, 40.0), tol=st.sampled_from([1e-2, 1e-6, 1e-13]),
+       data=st.data())
+def test_step_sum_rate_matches_the_row_divergence(n_s, n_h, sigma, tol, data):
+    p = data.draw(hnp.arrays(float, n_s, elements=st.floats(1e-3, 1.0)))
+    dmat = data.draw(hnp.arrays(float, (n_s, n_h), elements=_CELLS))
+    p /= p.sum()
+    q, i_nats, avg_d, gap, _ = _ba_lagrangian(p, dmat, sigma, tol)
+    want = _i_nats_by_row_divergence(p, q)
+    assert math.isfinite(i_nats) and gap >= 0.0
+    if math.isfinite(want):
+        assert abs(i_nats - want) <= 1e-10
+
+
+def test_step_sum_rate_stays_finite_where_the_marginal_underflows(
+        monkeypatch):
+    """Regression: solving this world at 0.99 span, the check at iteration
+    1,168 of slope 2.18233... nats holds a 5e-324 entry whose marginal mass
+    underflows to 0, so the row divergence reads +inf there."""
+    inst, q, span = _sharp_sender(7000, n_symbols=2, n_hypotheses=4)
+    runs = []
+
+    def recorded(*args):
+        runs.append(_ba_lagrangian(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(rate_distortion, "_ba_lagrangian", recorded)
+    pt = solve_rd(inst, q, 0.99 * span)
+    assert pt.duality_gap <= DEFAULT_RATE_TOL
+    assert runs and all(math.isfinite(run[1]) for run in runs)
+
+    # that check, as the last one of a run capped there
+    monkeypatch.setattr(rate_distortion, "_MAX_INNER_ITERS", 1168)
+    p, dk, _ = _setup(inst, q)
+    q_it, i_nats, _, _, it = _ba_lagrangian(
+        p, dk, 2.182330576294203, 0.25 * DEFAULT_RATE_TOL * LOG2)
+    assert it == 1168
+    assert _i_nats_by_row_divergence(p, q_it) == math.inf
+    dead = p @ q_it == 0
+    assert q_it[:, dead].max() == 5e-324
+    q_it[:, dead] = 0.0  # what the row divergence should have priced
+    assert abs(i_nats - _i_nats_by_row_divergence(p, q_it)) <= 1e-10
+
+
 # compare_schemes' rate tolerance when it found D(R) by nested bisection
 _COMPARE_RATE_TOL = 1e-6
 
@@ -432,6 +488,18 @@ def test_solve_dr_zero_budget_is_the_best_constant_row():
         assert (pt.q_tilde.rows == pt.q_tilde.rows[0]).all()
     with pytest.raises(ValueError, match="rate_budget must be >= 0"):
         solve_dr(inst, q, -1e-3)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_solve_dr_rate_zero_test_does_not_overflow():
+    """Regression: the rate-zero test exponentiated (ln 2 / mu) times
+    distortion differences, which overflowed at the small mu this budget
+    (one compressor's flow on this world) bisects down to."""
+    inst, q, _ = _sharp_sender(3001, n_symbols=6, n_hypotheses=3)
+    budget = 0.9603868541128637
+    pt = solve_dr(inst, q, budget)
+    assert pt.rate <= budget
+    assert pt.duality_gap <= _DR_TOL
 
 
 def test_solve_dr_budget_past_the_zero_distortion_rate():
