@@ -28,8 +28,8 @@ from beliefcomm import (
     solve_rd_with_prior,
     two_hypothesis_world,
 )
-from beliefcomm.errors import InvariantViolationError, SupportViolationError
 from beliefcomm import rate_distortion
+from beliefcomm.errors import InvariantViolationError, SupportViolationError
 from beliefcomm.rate_distortion import (
     _DR_TOL,
     DEFAULT_RATE_TOL,
@@ -307,6 +307,8 @@ def _i_nats_by_row_divergence(p, q):
        sigma=st.floats(0.0, 40.0), tol=st.sampled_from([1e-2, 1e-6, 1e-13]),
        data=st.data())
 def test_step_sum_rate_matches_the_row_divergence(n_s, n_h, sigma, tol, data):
+    """The rate a check returns, at stops early and late, dead cells and
+    tied rows included."""
     p = data.draw(hnp.arrays(float, n_s, elements=st.floats(1e-3, 1.0)))
     dmat = data.draw(hnp.arrays(float, (n_s, n_h), elements=_CELLS))
     p /= p.sum()
