@@ -43,6 +43,7 @@ from .errors import (
 )
 from .learning import LearningRule, Posterior, effective_distortion_matrix, fit
 from .oracle import (
+    _MAX_FREE_DIMS,
     OracleBudget,
     mrc_enumeration_oracle,
     rd_grid_oracle,
@@ -237,7 +238,7 @@ def _cmd_rd_curve(cfg, with_oracle):
               for pt, ppt in zip(points, prior_points)])
     checks = []
     free = int(np.sum(instance.p_s > 0)) * (instance.n_hypotheses - 1)
-    if with_oracle and free <= 4:
+    if with_oracle and free <= _MAX_FREE_DIMS:
         for eps, pt in zip(epsilons, points):
             oracle_rate = rd_grid_oracle(instance, q_alice, eps)
             diff = abs(oracle_rate - pt.rate)
@@ -326,7 +327,6 @@ def _cmd_coordinate(cfg, with_oracle):
 
 
 def _cmd_example1(cfg, with_oracle):
-    seed = _get_seed(cfg)
     n_list, key = cfg.get("n_list"), "/n_list"
     if n_list is None and "n" in cfg:
         n_list, key = [_setting(cfg, "n", None)], "/n"
@@ -338,7 +338,7 @@ def _cmd_example1(cfg, with_oracle):
     rows, oracle_rows = [], []
     world = two_hypothesis_world()
     for n in n_list:
-        res = run_example_1(n, seed=seed)
+        res = run_example_1(n)
         rows.append((n, res.d_avg, res.d_max, res.bits_per_symbol,
                      res.tv_max_position, 0))
         if with_oracle:
@@ -501,7 +501,7 @@ COMMANDS = {
     "coordinate": ("strong per-position tracking estimate", _cmd_coordinate,
                    "--seed --instance --n --trials --slack"),
     "example1": ("the alternating-schedule walkthrough", _cmd_example1,
-                 "--seed --with-oracle --n --n-list"),
+                 "--with-oracle --n --n-list"),
     "compare-schemes": ("model-first vs data-first accounting",
                         _cmd_compare_schemes, "--instance --rate-budget"),
     "verify-bound": ("distortion-rate ceiling sweep", _cmd_verify_bound,

@@ -9,7 +9,6 @@ modules they check, never the algorithms.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,23 +18,26 @@ from .errors import EnumerationCapError
 from .spaces import Distribution, ProblemInstance
 
 LOG2 = math.log(2.0)
+# the grid oracle's passes stop below this step, and its grid has at most
+# this many free dimensions (positive-mass datasets times |H| - 1)
+_GRID_STOP = 1e-5
+_MAX_FREE_DIMS = 4
 
 
 @dataclass(frozen=True)
 class OracleBudget:
     max_states: int = 10**7
-    grid_step: float = 1e-3
 
 
 def _simplex_grid(values_per_coord: list[np.ndarray]) -> np.ndarray:
     """Cartesian product of free-coordinate values, kept inside the simplex.
 
     Rows are full probability vectors: free coordinates plus the implied
-    last entry.
+    last entry. With no free coordinate the grid is the point mass [1].
     """
-    combos = np.array(list(itertools.product(*values_per_coord)))
-    if combos.size == 0:
-        combos = combos.reshape(0, len(values_per_coord))
+    n = math.prod(len(v) for v in values_per_coord)
+    combos = np.reshape(np.meshgrid(*values_per_coord, indexing="ij"),
+                        (len(values_per_coord), n)).T
     tail = 1.0 - combos.sum(axis=1)
     ok = tail >= -1e-12
     combos = combos[ok]
@@ -56,10 +58,12 @@ def rd_grid_oracle(instance: ProblemInstance, q_sender, epsilon: float,
                    budget: OracleBudget = OracleBudget()) -> float:
     """Min mutual information over feasible gridded conditionals.
 
-    Starts from a coarse exhaustive grid and refines a box around the best
-    feasible point, ending at a local step at most grid_step/100, so the
-    value is a tight upper estimate of the true optimum. Free dimensions
-    (positive-mass datasets times hypotheses minus one) are capped at 4.
+    Each pass grids a box of half-width two old steps around the best
+    feasible point at a sixth of the old step; the first pass, around 1/2
+    with half-width 1/2, is the coarse exhaustive grid at step 1/24. Passes
+    end below a step of 1e-5, so the value is a tight upper estimate of the
+    true optimum. Free dimensions (positive-mass datasets times hypotheses
+    minus one) are capped at 4.
     """
     from .learning import effective_distortion_matrix
 
@@ -70,12 +74,13 @@ def rd_grid_oracle(instance: ProblemInstance, q_sender, epsilon: float,
     dk = dmat[keep]
     n_s, n_h = len(keep), instance.n_hypotheses
     free = n_s * (n_h - 1)
-    if free > 4:
+    if free > _MAX_FREE_DIMS:
         raise EnumerationCapError(
-            f"grid oracle limited to 4 free dimensions, got {free}"
+            f"grid oracle limited to {_MAX_FREE_DIMS} free dimensions, "
+            f"got {free}"
         )
 
-    def evaluate(row_grids):
+    def evaluate(row_grids, best):
         """All row combinations from per-dataset row menus; returns best.
 
         Each combination is also augmented, one free coordinate at a time,
@@ -83,43 +88,44 @@ def rd_grid_oracle(instance: ProblemInstance, q_sender, epsilon: float,
         constraint is affine in any single coordinate, mass moving against
         the last hypothesis). Without this the best grid point can sit far
         from a boundary optimum whenever dataset masses are very skewed.
+        The base batch, then each augmented one, is scored as it is built;
+        a batch replaces best only with a strictly lower rate.
         """
         counts = [len(g) for g in row_grids]
-        states = int(np.prod(counts)) * (free + 1)
+        states = math.prod(counts) * (free + 1)
         if states > budget.max_states:
             raise EnumerationCapError(
                 f"grid round needs {states} states, budget {budget.max_states}"
             )
-        idx = np.array(list(itertools.product(*[range(c) for c in counts])))
-        q_batch = np.stack(
-            [row_grids[s][idx[:, s]] for s in range(n_s)], axis=1
-        )  # (B, n_s, n_h)
-        pieces = [q_batch]
-        dist = np.einsum("s,bsh,sh->b", p, q_batch, dk) - baseline
-        for s in range(n_s):
-            for j in range(n_h - 1):
+        idx = np.indices(counts).reshape(n_s, -1)
+        base = np.stack([g[i] for g, i in zip(row_grids, idx)],
+                        axis=1)  # (B, n_s, n_h)
+        base_dist = np.einsum("s,bsh,sh->b", p, base, dk) - baseline
+        for move in [None, *np.ndindex(n_s, n_h - 1)]:
+            q_batch, dist = base, base_dist
+            if move is not None:
+                s, j = move
                 slope = p[s] * (dk[s, j] - dk[s, n_h - 1])
                 if abs(slope) < 1e-15:
                     continue
-                moved = q_batch.copy()
-                shift = (epsilon - dist) / slope
-                v = np.clip(moved[:, s, j] + shift, 0.0,
-                            moved[:, s, j] + moved[:, s, n_h - 1])
+                q_batch = base.copy()
+                v = np.clip(base[:, s, j] + (epsilon - base_dist) / slope,
+                            0.0, base[:, s, j] + base[:, s, n_h - 1])
                 # the rebalanced tail can pick up -1e-16 of dust, and a
                 # negative marginal would poison the log in the rate
-                moved[:, s, n_h - 1] = np.maximum(
-                    moved[:, s, n_h - 1] + moved[:, s, j] - v, 0.0
+                q_batch[:, s, n_h - 1] = np.maximum(
+                    base[:, s, n_h - 1] + base[:, s, j] - v, 0.0
                 )
-                moved[:, s, j] = v
-                pieces.append(moved)
-        q_all = np.concatenate(pieces, axis=0)
-        dist_all = np.einsum("s,bsh,sh->b", p, q_all, dk) - baseline
-        feas = dist_all <= epsilon + 1e-12
-        if not np.any(feas):
-            return None
-        rates = _mi_of_batch(p, q_all[feas])
-        j = int(np.argmin(rates))
-        return float(rates[j]), q_all[feas][j]
+                q_batch[:, s, j] = v
+                dist = np.einsum("s,bsh,sh->b", p, q_batch, dk) - baseline
+            feas = dist <= epsilon + 1e-12
+            if not np.any(feas):
+                continue
+            rates = _mi_of_batch(p, q_batch[feas])
+            k = int(np.argmin(rates))
+            if best is None or rates[k] < best[0]:
+                best = float(rates[k]), q_batch[feas][k]
+        return best
 
     # Always consider the exact constant rows: rate 0 when feasible.
     best = None
@@ -130,35 +136,23 @@ def rd_grid_oracle(instance: ProblemInstance, q_sender, epsilon: float,
             best = (0.0, const)
             break
 
-    step = 1.0 / 24.0
-    grids = [
-        _simplex_grid([np.arange(0.0, 1.0 + 1e-12, step)] * (n_h - 1))
-        for _ in range(n_s)
-    ]
-    found = evaluate(grids)
-    if found is not None and (best is None or found[0] < best[0]):
-        best = found
-    while step > budget.grid_step / 100.0:
+    center = np.full((n_s, n_h), 0.5)
+    step = 0.25
+    while step > _GRID_STOP:
+        new_step = step / 6.0
+        grids = [
+            _simplex_grid([np.clip(np.arange(c - 2.0 * step,
+                                             c + 2.0 * step + 1e-12, new_step),
+                                   0.0, 1.0) for c in row[:-1]])
+            for row in center
+        ]
+        best = evaluate(grids, best)
         if best is None:
             raise EnumerationCapError(
-                "no feasible grid point found; loosen the budget or step"
+                "no feasible grid point found; loosen the budget"
             )
         center = best[1]
-        new_step = step / 6.0
-        grids = []
-        for s in range(n_s):
-            per_coord = []
-            for j in range(n_h - 1):
-                c = center[s, j]
-                vals = np.arange(c - 2.0 * step, c + 2.0 * step + 1e-12, new_step)
-                per_coord.append(np.clip(vals, 0.0, 1.0))
-            grids.append(_simplex_grid(per_coord))
-        found = evaluate(grids)
-        if found is not None and found[0] < best[0]:
-            best = found
         step = new_step
-    if best is None:
-        raise EnumerationCapError("no feasible grid point found")
     return max(best[0], 0.0)
 
 

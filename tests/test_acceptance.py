@@ -257,7 +257,7 @@ def test_accept_9_cli_outputs_are_deterministic(tmp_path):
     inst_file.write_text(json.dumps(problem_instance_to_json(inst)))
     pairs = []
     for tag, argv in [
-        ("example1", ["example1", "--seed", "5"]),
+        ("example1", ["example1"]),
         ("code", ["code", "--instance", str(inst_file), "--seed", "3",
                   "--n", "6"]),
         ("rd-curve", ["rd-curve", "--instance", str(inst_file),

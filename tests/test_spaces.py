@@ -2,7 +2,9 @@
 
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +158,15 @@ def test_instance_json_round_trip():
     np.testing.assert_allclose(back.p_s, inst.p_s, atol=1e-15)
     np.testing.assert_allclose(back.true_loss_table, inst.true_loss_table, atol=1e-15)
     assert back.dataset_space.datasets == inst.dataset_space.datasets
+
+
+def test_readme_instance_example_loads():
+    """The instance file shown in the README is one the loader accepts."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    inst = problem_instance_from_json(json.loads(block))
+    assert inst.hypotheses.loss.shape == (2, 2, 2)
+    assert inst.n_datasets == 2
 
 
 def test_instance_json_pointer_errors():
