@@ -38,7 +38,7 @@ def main():
           f"(CI {rep.d_avg_ci[0]:+.4f} .. {rep.d_avg_ci[1]:+.4f})")
     print(f"  estimated worst d    = {rep.d_max_est:+.4f}")
     print(f"  worst TV to target   = {rep.tv_max_position:.4f}")
-    print(f"  shared random bits   = {rep.trace.cr_bits}")
+    print(f"  shared random bits   = {rep.cr_bits}")
     print("\nper-position tracking at zero transmitted bits; the entire")
     print("cost moved into common randomness")
 

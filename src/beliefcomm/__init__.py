@@ -75,7 +75,6 @@ from .schemes import (
     verify_bound,
 )
 from .oracle import (
-    OracleBudget,
     rd_grid_oracle,
     mrc_enumeration_oracle,
     sequence_distortion_oracle,

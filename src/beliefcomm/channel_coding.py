@@ -187,10 +187,14 @@ class CommonRandomness:
 
 
 def inverse_cdf_sample(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Map uniform doubles to indices through the right-continuous CDF."""
+    """Map uniform doubles to indices through the right-continuous CDF.
+
+    A uniform at or past the CDF's last value, which rounding can leave
+    below 1, takes the last outcome with mass, never a zero-mass tail.
+    """
     cum = np.cumsum(probs)
     idx = np.searchsorted(cum, uniforms, side="right")
-    return np.minimum(idx, len(probs) - 1)
+    return np.minimum(idx, np.flatnonzero(probs)[-1])
 
 
 @dataclass(frozen=True)
@@ -205,7 +209,6 @@ class CodeRecord:
     index: int
     index_bits: float
     sample: object
-    target_kl: float
     n_candidates: int
     fallback: bool = False
 
@@ -331,17 +334,14 @@ def encode_mrc(q: Distribution, p: Distribution, cr: CommonRandomness,
     """Select one of n_candidates proposals from p in proportion to q/p.
 
     The batch-of-one case of encode_batch. The target must be absolutely
-    continuous w.r.t. the prior (checked via the KL computation). When every
-    drawn candidate has zero target mass the encoder falls back to a uniform
-    index and flags the record.
+    continuous w.r.t. the prior. When every drawn candidate has zero target
+    mass the encoder falls back to a uniform index and flags the record.
     """
-    target_kl = kl_divergence(q, p)
     out = encode_batch(q.probs[None, :], p, [n_candidates], cr, [stream])
     return CodeRecord(
         index=int(out.index[0]),
         index_bits=math.log2(n_candidates),
         sample=int(out.sample[0]),
-        target_kl=target_kl,
         n_candidates=n_candidates,
         fallback=bool(out.fallback[0]),
     )
@@ -462,8 +462,7 @@ def code_messages(posterior: Posterior, prior: Distribution, datasets,
     of the whole tuple, its positions' divergences added left to right, and
     is capped at DEFAULT_CANDIDATE_CAP for a symbol (w = 1, per-symbol coding)
     and DEFAULT_BLOCK_CAP for a wider tuple (a block). Returns the CodedBatch,
-    row t * m + j, the decoded (T, m, w) hypotheses and the (T, m) message
-    divergences in bits.
+    row t * m + j, and the decoded (T, m, w) hypotheses.
     """
     datasets = np.asarray(datasets, dtype=np.int64)
     n_trials, m, w = datasets.shape
@@ -486,7 +485,7 @@ def code_messages(posterior: Posterior, prior: Distribution, datasets,
     recon = decode_batch((batch.index[:, None] * w + np.arange(w)).ravel(),
                          prior, np.repeat(k * w, w), cr,
                          np.repeat(paths, w, axis=0))
-    return batch, recon.reshape(n_trials, m, w), msg_kl
+    return batch, recon.reshape(n_trials, m, w)
 
 
 def code_sequence(posterior: Posterior, prior: Distribution, dataset_seq,
@@ -504,14 +503,14 @@ def code_sequence(posterior: Posterior, prior: Distribution, dataset_seq,
         raise ValueError(f"unknown mode {mode!r}")
     seq = np.array([int(s) for s in dataset_seq], dtype=np.int64)
     messages = seq.reshape((1, -1, 1) if mode == "per_symbol" else (1, 1, -1))
-    batch, recon, kl = code_messages(posterior, prior, messages, cr, [trial],
-                                     slack)
+    batch, recon = code_messages(posterior, prior, messages, cr, [trial],
+                                 slack)
     records = tuple(
         CodeRecord(index=i, index_bits=math.log2(k),
                    sample=smp[0] if len(smp) == 1 else np.array(smp),
-                   target_kl=d, n_candidates=k, fallback=fb)
-        for i, smp, d, k, fb in zip(
-            batch.index.tolist(), batch.sample.tolist(), kl[0].tolist(),
+                   n_candidates=k, fallback=fb)
+        for i, smp, k, fb in zip(
+            batch.index.tolist(), batch.sample.tolist(),
             batch.n_candidates.tolist(), batch.fallback.tolist())
     )
     total = sum((r.index_bits for r in records), 0.0)

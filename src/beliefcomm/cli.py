@@ -44,7 +44,6 @@ from .errors import (
 from .learning import LearningRule, Posterior, effective_distortion_matrix, fit
 from .oracle import (
     _MAX_FREE_DIMS,
-    OracleBudget,
     mrc_enumeration_oracle,
     rd_grid_oracle,
     sequence_distortion_oracle,
@@ -95,13 +94,15 @@ def _write_manifest(outdir: Path, command: str, cfg: dict):
     manifest = {
         "command": command,
         "config": cfg,
-        "seed": cfg.get("seed", 0),
         "versions": {
             "beliefcomm": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
     }
+    # only a command that draws has a seed its outputs depend on
+    if "--seed" in COMMANDS[command][2].split():
+        manifest["seed"] = cfg.get("seed", 0)
     with open(outdir / "manifest.json", "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -292,7 +293,7 @@ def _cmd_code(cfg, with_oracle):
             if with_oracle:
                 try:
                     ref = mrc_enumeration_oracle(target, prior_w, k,
-                                                 OracleBudget(max_states=4096))
+                                                 max_states=4096)
                 except EnumerationCapError:
                     pass  # too many candidate tuples to enumerate: unchecked
                 else:
@@ -462,7 +463,6 @@ def _cmd_audit(cfg, with_oracle):
             alice_rows=q.rows[s_seq], bob_rows=sched,
             joint_type=joint_type_from_pairs(s_seq, hyp, inst.n_datasets,
                                              inst.n_hypotheses),
-            bits_used=0.0, cr_bits=0,
         )
         o_avg, o_max = sequence_distortion_oracle(trace, inst)
         a_avg = d_avg_seq(trace.alice_rows, trace.bob_rows, inst)

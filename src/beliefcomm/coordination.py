@@ -42,8 +42,6 @@ class SequenceTrace:
     alice_rows: np.ndarray
     bob_rows: np.ndarray
     joint_type: np.ndarray
-    bits_used: float
-    cr_bits: int
 
     def __post_init__(self):
         if len(self.datasets) != self.n or self.alice_rows.shape[0] != self.n \
@@ -118,8 +116,6 @@ def simulate_empirical_deterministic(instance: ProblemInstance, q_alice: Posteri
         bob_rows=sched,
         joint_type=joint_type_from_pairs(s_seq, hyp_idx, instance.n_datasets,
                                          instance.n_hypotheses),
-        bits_used=0.0,
-        cr_bits=0,
     )
 
 
@@ -170,11 +166,10 @@ def run_example_1(n: int, seed: int = 0) -> Example1Result:
 class StrongCoordinationReport:
     """Monte Carlo estimate of per-position tracking under one-shot coding.
 
-    Rate and distortion estimates assume unlimited common randomness; the
-    flag records that assumption explicitly.
+    The estimates assume unlimited common randomness; cr_bits is what the
+    run read of it.
     """
 
-    trace: SequenceTrace
     n: int
     trials: int
     d_avg_est: float
@@ -183,8 +178,7 @@ class StrongCoordinationReport:
     d_max_ci: tuple[float, float]
     bits_per_symbol: float
     tv_max_position: float
-    slack: float
-    unlimited_common_randomness: bool = True
+    cr_bits: int
 
 
 def simulate_strong(instance: ProblemInstance, q_target: Posterior, n: int,
@@ -207,8 +201,7 @@ def simulate_strong(instance: ProblemInstance, q_target: Posterior, n: int,
             raise SupportViolationError(
                 f"target row {s} puts mass outside its own marginal support"
             )
-    n_s, n_h = instance.n_datasets, instance.n_hypotheses
-    counts = np.zeros((n, n_s, n_h))
+    counts = np.zeros((n, instance.n_datasets, instance.n_hypotheses))
     bits_total = 0.0
     positions = np.arange(n)
     step = max(1, TRIAL_BLOCK_SYMBOLS // max(n, 1))
@@ -216,16 +209,11 @@ def simulate_strong(instance: ProblemInstance, q_target: Posterior, n: int,
         block = np.arange(first, min(first + step, trials))
         s_seq = inverse_cdf_sample(instance.p_s,
                                    cr.data_uniforms(block[:, None], n))
-        batch, recon, _ = code_messages(q_target, prior, s_seq[..., None], cr,
-                                        block, slack=slack)
-        recon = recon[..., 0]
+        batch, recon = code_messages(q_target, prior, s_seq[..., None], cr,
+                                     block, slack=slack)
         np.add.at(counts, (np.broadcast_to(positions, s_seq.shape), s_seq,
-                           recon), 1.0)
-        bits = np.log2(batch.n_candidates)
-        bits_total += float(bits.sum())
-        if first == 0:
-            # trial 0 is the realized sequence the trace shows
-            s0, recon0, bits0 = s_seq[0], recon[0], float(bits[:n].sum())
+                           recon[..., 0]), 1.0)
+        bits_total += float(np.log2(batch.n_candidates).sum())
 
     cell_totals = counts.sum(axis=2)  # (n, n_s)
     seen = cell_totals > 0
@@ -255,15 +243,7 @@ def simulate_strong(instance: ProblemInstance, q_target: Posterior, n: int,
     tv_by_cell = 0.5 * np.abs(rows_est - q_target.rows).sum(axis=2)
     tv_max = float(tv_by_cell[:, p_s > 0].max(initial=0.0))
 
-    bob_marg = counts.sum(axis=1)
-    bob_marg /= bob_marg.sum(axis=1, keepdims=True)
-    trace = SequenceTrace(
-        n=n, datasets=tuple(s0.tolist()), alice_rows=q_target.rows[s0],
-        bob_rows=bob_marg, joint_type=joint_type_from_pairs(s0, recon0, n_s, n_h),
-        bits_used=bits0, cr_bits=cr.bits_consumed,
-    )
     return StrongCoordinationReport(
-        trace=trace,
         n=n,
         trials=trials,
         d_avg_est=d_avg_est,
@@ -272,5 +252,5 @@ def simulate_strong(instance: ProblemInstance, q_target: Posterior, n: int,
         d_max_ci=(d_max_est - 1.96 * se_max, d_max_est + 1.96 * se_max),
         bits_per_symbol=bits_total / (n * trials),
         tv_max_position=tv_max,
-        slack=slack,
+        cr_bits=cr.bits_consumed,
     )

@@ -10,7 +10,6 @@ modules they check, never the algorithms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,11 +21,6 @@ LOG2 = math.log(2.0)
 # this many free dimensions (positive-mass datasets times |H| - 1)
 _GRID_STOP = 1e-5
 _MAX_FREE_DIMS = 4
-
-
-@dataclass(frozen=True)
-class OracleBudget:
-    max_states: int = 10**7
 
 
 def _simplex_grid(values_per_coord: list[np.ndarray]) -> np.ndarray:
@@ -55,7 +49,7 @@ def _mi_of_batch(p: np.ndarray, q_batch: np.ndarray) -> np.ndarray:
 
 
 def rd_grid_oracle(instance: ProblemInstance, q_sender, epsilon: float,
-                   budget: OracleBudget = OracleBudget()) -> float:
+                   max_states: int = 10**7) -> float:
     """Min mutual information over feasible gridded conditionals.
 
     Each pass grids a box of half-width two old steps around the best
@@ -93,9 +87,9 @@ def rd_grid_oracle(instance: ProblemInstance, q_sender, epsilon: float,
         """
         counts = [len(g) for g in row_grids]
         states = math.prod(counts) * (free + 1)
-        if states > budget.max_states:
+        if states > max_states:
             raise EnumerationCapError(
-                f"grid round needs {states} states, budget {budget.max_states}"
+                f"grid round needs {states} states, budget {max_states}"
             )
         idx = np.indices(counts).reshape(n_s, -1)
         base = np.stack([g[i] for g, i in zip(row_grids, idx)],
@@ -157,20 +151,20 @@ def rd_grid_oracle(instance: ProblemInstance, q_sender, epsilon: float,
 
 
 def mrc_enumeration_oracle(q: Distribution, p: Distribution, n_candidates: int,
-                           budget: OracleBudget = OracleBudget()) -> Distribution:
+                           max_states: int = 10**7) -> Distribution:
     """Coder output law by recursing over ordered candidate tuples.
 
     The recursion is K deep and visits |H|^K tuples; both are bounded by
-    refusing max(|H|, 2)^K above the budget. K is tested against
+    refusing max(|H|, 2)^K above max_states. K is tested against
     log2(max_states) first, so no huge power is formed.
     """
     n = len(p)
     base = max(n, 2)
-    if n_candidates > math.log2(budget.max_states) \
-            or base**n_candidates > budget.max_states:
+    if n_candidates > math.log2(max_states) \
+            or base**n_candidates > max_states:
         raise EnumerationCapError(
             f"max(|H|, 2)^K = {base}^{n_candidates} exceeds budget "
-            f"{budget.max_states}"
+            f"{max_states}"
         )
     out = np.zeros(n)
     ratio = [q.probs[h] / p.probs[h] if p.probs[h] > 0 else 0.0 for h in range(n)]

@@ -60,6 +60,28 @@ def test_inverse_cdf_sample_cell_boundaries():
     np.testing.assert_array_equal(idx, [0, 0, 1, 1, 2, 2, 2])
 
 
+def test_inverse_cdf_sample_never_returns_a_zero_mass_tail():
+    """Regression: ten masses of 0.1 sum to 1 - 2^-53 in floating point, so
+    the largest uniform a stream yields, 1 - 2^-53, fell past the CDF and was
+    sent to the last index, whose mass is zero."""
+    probs = np.array([0.1] * 10 + [0.0])
+    u = np.array([0.0, 0.35, 0.95, np.cumsum(probs)[-1], 1.0 - 2.0**-53])
+    np.testing.assert_array_equal(inverse_cdf_sample(probs, u),
+                                  [0, 3, 9, 9, 9])
+
+
+def test_coder_support_check_rejects_a_target_off_the_prior_support():
+    """The batch coder, and encode_mrc through it, refuse a target with mass
+    where the prior has none."""
+    q = Distribution([0.5, 0.5])
+    p = Distribution([1.0, 0.0])
+    with pytest.raises(SupportViolationError):
+        encode_mrc(q, p, CommonRandomness(0), 4)
+    with pytest.raises(SupportViolationError):
+        encode_batch(np.array([[1.0, 0.0], [0.5, 0.5]]), p, [4, 4],
+                     CommonRandomness(0), [[0], [1]])
+
+
 def test_encode_decode_round_trip():
     q = Distribution([0.9, 0.1])
     p = Distribution([0.5, 0.5])
@@ -85,8 +107,7 @@ def test_decode_rejects_mismatched_candidate_count():
 
 def test_code_record_validates_index_range():
     with pytest.raises(ValueError):
-        CodeRecord(index=5, index_bits=2.0, sample=0, target_kl=0.0,
-                   n_candidates=4)
+        CodeRecord(index=5, index_bits=2.0, sample=0, n_candidates=4)
 
 
 def test_induced_law_matches_tuple_recursion_oracle():

@@ -42,7 +42,7 @@ def test_rd_curve_files_and_manifest(tmp_path, instance_file):
     assert len(_rows(out / "rd-curve.csv")) == 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "rd-curve"
-    assert manifest["seed"] == 0
+    assert "seed" not in manifest  # rd-curve draws nothing
     assert set(manifest["versions"]) == {"beliefcomm", "numpy", "python"}
     raw = (out / "manifest.json").read_text()
     assert raw.endswith("\n")
@@ -251,6 +251,23 @@ def test_flags_override_config_file(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["n_list"] == [3, 5]
     assert [r[0] for r in _rows(out / "example1.csv")] == ["3", "5"]
+
+
+def test_manifest_records_a_seed_only_where_the_run_draws(tmp_path,
+                                                          instance_file):
+    """Regression: a config seed was written as the manifest's seed for
+    every command, also where no output depends on it."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 3, "n_list": [2]}))
+    out = tmp_path / "example1"
+    assert main(["example1", "--out", str(out), "--config", str(cfg)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "seed" not in manifest
+    assert manifest["config"]["seed"] == 3
+    out = tmp_path / "code"
+    assert main(["code", "--instance", instance_file, "--out", str(out),
+                 "--config", str(cfg), "--n", "2"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == 3
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])

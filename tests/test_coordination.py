@@ -30,12 +30,12 @@ from beliefcomm.coordination import TRIAL_BLOCK_SYMBOLS
 from beliefcomm.errors import NormalizationError, SupportViolationError
 
 
-def _trace(inst, n=4, bits=0.0):
+def _trace(inst, n=4):
     rows = np.full((n, inst.n_hypotheses), 1.0 / inst.n_hypotheses)
     jt = joint_type_from_pairs([0] * n, [0] * n, inst.n_datasets,
                                inst.n_hypotheses)
     return dict(n=n, datasets=(0,) * n, alice_rows=rows, bob_rows=rows,
-                joint_type=jt, bits_used=bits, cr_bits=0)
+                joint_type=jt)
 
 
 def test_trace_rejects_length_mismatch():
@@ -154,8 +154,7 @@ def test_simulate_strong_zero_divergence_target_is_free():
     assert rep.d_max_est < 0.25
     assert rep.tv_max_position < 0.25
     assert rep.trials == 200 and rep.n == 4
-    assert rep.unlimited_common_randomness
-    assert rep.trace.cr_bits > 0
+    assert rep.cr_bits > 0
     lo, hi = rep.d_avg_ci
     assert lo <= rep.d_avg_est <= hi
 
@@ -212,7 +211,7 @@ def test_simulate_strong_matches_trial_by_trial_coding():
     rep = simulate_strong(inst, q, n=n, cr=cr, trials=trials, slack=2.0)
     bits, d_by_pos, var_by_pos, tv_max, drawn = _strong_by_trial_loop(
         inst, q, n, 4, trials, 2.0)
-    assert cr.bits_consumed == rep.trace.cr_bits == drawn
+    assert cr.bits_consumed == rep.cr_bits == drawn
     i_max = int(np.argmax(d_by_pos))
     assert rep.bits_per_symbol == pytest.approx(bits, rel=1e-12)
     assert rep.d_avg_est == pytest.approx(np.mean(d_by_pos), abs=1e-12)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from beliefcomm import (
     Distribution,
     LearningRule,
-    OracleBudget,
     effective_distortion_matrix,
     fit,
     mrc_enumeration_oracle,
@@ -82,7 +81,7 @@ def test_grid_oracle_dimension_cap():
 def test_grid_oracle_state_budget():
     inst, q, span = sharp_sender(2)
     with pytest.raises(EnumerationCapError):
-        rd_grid_oracle(inst, q, 0.4 * span, budget=OracleBudget(max_states=10))
+        rd_grid_oracle(inst, q, 0.4 * span, max_states=10)
 
 
 def test_grid_oracle_reports_infeasible_budgets():
@@ -230,7 +229,7 @@ def test_mrc_oracle_budget_cap():
     q = Distribution([0.9, 0.1])
     p = Distribution([0.5, 0.5])
     with pytest.raises(EnumerationCapError):
-        mrc_enumeration_oracle(q, p, 8, budget=OracleBudget(max_states=100))
+        mrc_enumeration_oracle(q, p, 8, max_states=100)
 
 
 def test_mrc_oracle_caps_its_recursion_depth_on_one_hypothesis():
