@@ -3,10 +3,8 @@
 from .spaces import (
     Distribution,
     ConceptSpace,
-    DatasetSpace,
     HypothesisSpace,
     ProblemInstance,
-    enumerate_datasets,
     total_variation,
     kl_divergence,
     mutual_information,

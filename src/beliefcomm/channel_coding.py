@@ -449,7 +449,6 @@ class CodedSequence:
     records: tuple[CodeRecord, ...]
     total_bits: float
     reconstruction: np.ndarray
-    mode: str
 
 
 def code_messages(posterior: Posterior, prior: Distribution, datasets,
@@ -514,4 +513,4 @@ def code_sequence(posterior: Posterior, prior: Distribution, dataset_seq,
             batch.n_candidates.tolist(), batch.fallback.tolist())
     )
     total = sum((r.index_bits for r in records), 0.0)
-    return CodedSequence(records, total, recon.reshape(-1), mode)
+    return CodedSequence(records, total, recon.reshape(-1))

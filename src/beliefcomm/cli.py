@@ -328,14 +328,10 @@ def _cmd_coordinate(cfg, with_oracle):
 
 
 def _cmd_example1(cfg, with_oracle):
-    n_list, key = cfg.get("n_list"), "/n_list"
-    if n_list is None and "n" in cfg:
-        n_list, key = [_setting(cfg, "n", None)], "/n"
-    elif n_list is None:
-        n_list = [2, 3, 4, 5, 8, 16, 32, 50]
+    n_list = cfg.get("n_list", [2, 3, 4, 5, 8, 16, 32, 50])
     if not isinstance(n_list, list) or \
             not all(isinstance(n, int) and n >= 2 for n in n_list):
-        raise ConfigError(key, "need integers >= 2")
+        raise ConfigError("/n_list", "need integers >= 2")
     rows, oracle_rows = [], []
     world = two_hypothesis_world()
     for n in n_list:
@@ -501,7 +497,7 @@ COMMANDS = {
     "coordinate": ("strong per-position tracking estimate", _cmd_coordinate,
                    "--seed --instance --n --trials --slack"),
     "example1": ("the alternating-schedule walkthrough", _cmd_example1,
-                 "--with-oracle --n --n-list"),
+                 "--with-oracle --n-list"),
     "compare-schemes": ("model-first vs data-first accounting",
                         _cmd_compare_schemes, "--instance --rate-budget"),
     "verify-bound": ("distortion-rate ceiling sweep", _cmd_verify_bound,
@@ -519,7 +515,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, _, flags) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        # no prefix matching, or example1 --n would be read as --n-list
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="JSON experiment config")
         p.add_argument("--out", required=True, help="output directory")
         for flag in flags.split():

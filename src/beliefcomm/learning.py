@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AlphabetMismatchError, ConfigError
 from .spaces import (Distribution, ProblemInstance, _clean_rows,
-                     _logsumexp_rows, _number)
+                     _logsumexp_rows, _number, _table)
 
 ERM_TIE_TOL = 1e-12
 
@@ -83,18 +83,14 @@ class LearningRule:
         if kind == "erm":
             return LearningRule.erm()
         if kind == "map_table":
-            if "rows" not in obj:
-                raise ConfigError("/rule/rows", "map_table needs rows")
-            try:
-                return LearningRule.map_table(obj["rows"])
-            except (TypeError, ValueError):
-                raise ConfigError("/rule/rows", "expected a table of numbers") from None
+            return LearningRule.map_table(_table(obj, "rows", "/rule"))
         raise ConfigError("/rule/rule", f"unknown rule {kind!r}")
 
 
-def empirical_loss(belief, dataset: tuple[int, ...], concept: int,
+def empirical_loss(belief, dataset, concept: int,
                    instance: ProblemInstance) -> float:
-    """Average per-sample loss of a belief on one dataset under one concept."""
+    """Average per-sample loss of a belief on one dataset under one concept;
+    dataset is a row of instance.datasets, or any sequence of sample indices."""
     b = np.asarray(belief.probs if isinstance(belief, Distribution) else belief, dtype=float)
     loss = instance.hypotheses.loss[concept]  # (h, z)
     cols = loss[:, list(dataset)]  # (h, m)
@@ -112,13 +108,11 @@ def dataset_scores(instance: ProblemInstance) -> np.ndarray:
 
     This is the quantity both gibbs and erm rank hypotheses by.
     """
-    ds = instance.dataset_space
     n_s, n_h = instance.n_datasets, instance.n_hypotheses
-    idx = np.array(ds.datasets, dtype=int)  # (n_s, m)
     # emp[c, s, h] = mean_j loss[c, h, z_j]
-    emp = instance.hypotheses.loss[:, :, idx].mean(axis=3)  # (c, h, s) after fancy index
+    emp = instance.hypotheses.loss[:, :, instance.datasets].mean(axis=3)  # (c, h, s)
     emp = np.moveaxis(emp, 2, 1)  # (c, s, h)
-    scores = np.einsum("sc,csh->sh", ds.posterior, emp)
+    scores = np.einsum("sc,csh->sh", instance.posterior, emp)
     assert scores.shape == (n_s, n_h)
     return scores
 
@@ -143,7 +137,7 @@ def fit(rule: LearningRule, instance: ProblemInstance) -> Posterior:
     """Run a learning rule on every dataset at once."""
     if rule.kind == "map_table":
         return Posterior.from_rows(rule.table, instance)
-    rows = _rule_rows(rule, dataset_scores(instance), instance.dataset_space.m)
+    rows = _rule_rows(rule, dataset_scores(instance), instance.m)
     return Posterior.from_rows(rows, instance)
 
 
@@ -155,10 +149,9 @@ def d_sem(q_sender: Posterior, q_receiver: Posterior, instance: ProblemInstance)
     """
     _check_rows(q_sender, instance)
     _check_rows(q_receiver, instance)
-    ds = instance.dataset_space
     # joint weight over (c, s) = P_C(c) P(s|c); contract against the
     # per-concept population risks of each row.
-    w = instance.concepts.prior.probs[:, None] * ds.conditional  # (c, s)
+    w = instance.concepts.prior.probs[:, None] * instance.conditional  # (c, s)
     diff = q_receiver.rows - q_sender.rows  # (s, h)
     return float(np.einsum("cs,sh,ch->", w, diff, instance.true_loss_table))
 
@@ -175,9 +168,8 @@ def effective_distortion_matrix(instance: ProblemInstance,
     and baseline is the same contraction evaluated at the sender's own rows.
     """
     _check_rows(q_sender, instance)
-    ds = instance.dataset_space
-    dmat = ds.posterior @ instance.true_loss_table  # (s, h)
-    baseline = float(np.einsum("s,sh,sh->", ds.marginal.probs, q_sender.rows, dmat))
+    dmat = instance.posterior @ instance.true_loss_table  # (s, h)
+    baseline = float(np.einsum("s,sh,sh->", instance.p_s, q_sender.rows, dmat))
     return dmat, baseline
 
 

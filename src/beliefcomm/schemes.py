@@ -144,7 +144,7 @@ def _refit(instance, rule, labels, scores) -> np.ndarray:
         / np.where(mass > 0, mass, count)[cells]
     # cleaned as fit's rows are, so an identity compressor reproduces fit
     return _clean_rows(_rule_rows(rule, member.T @ (weights[:, None] * scores),
-                                  instance.dataset_space.m), "refit row")
+                                  instance.m), "refit row")
 
 
 def _conditional_mi_given_h(joint3: np.ndarray) -> float:

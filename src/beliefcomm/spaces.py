@@ -15,7 +15,6 @@ reductions: their bits differ.) The package needs numpy alone at run time.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -254,73 +253,6 @@ class ConceptSpace:
         return len(self.sample_names)
 
 
-def enumerate_datasets(n_symbols: int, m: int):
-    """All length-m sample tuples in lexicographic order.
-
-    The count is n_symbols**m and is refused above DEFAULT_ENUMERATION_CAP.
-    """
-    count = n_symbols**m
-    if count > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"enumerate_datasets: |Z|^m = {n_symbols}^{m} = {count} exceeds cap "
-            f"{DEFAULT_ENUMERATION_CAP}"
-        )
-    return list(itertools.product(range(n_symbols), repeat=m))
-
-
-@dataclass(frozen=True)
-class DatasetSpace:
-    """Enumerated dataset alphabet S = Z^m with its exact distributions.
-
-    conditional[c, s] = P(dataset s | concept c), a product of data-law
-    entries; marginal is P_S; posterior[s, c] = P(concept c | dataset s) by
-    Bayes. Datasets with zero marginal mass keep the concept prior as their
-    posterior row, which never matters because they carry no weight.
-    """
-
-    m: int
-    datasets: tuple[tuple[int, ...], ...]
-    conditional: np.ndarray
-    marginal: Distribution
-    posterior: np.ndarray
-
-    @staticmethod
-    def build(concepts: ConceptSpace, m: int) -> "DatasetSpace":
-        datasets = enumerate_datasets(concepts.n_symbols, m)
-        idx = np.array(datasets, dtype=int)  # (n_s, m)
-        # log-free product; entries can be exactly zero
-        cond = np.ones((concepts.n_concepts, len(datasets)))
-        for j in range(m):
-            cond *= concepts.data_law[:, idx[:, j]]
-        prior = concepts.prior.probs
-        marg = prior @ cond
-        post = np.divide(prior * cond.T, marg[:, None],
-                         out=np.tile(prior, (len(datasets), 1)),
-                         where=marg[:, None] > 0)
-        cond.setflags(write=False)
-        post.setflags(write=False)
-        return DatasetSpace(
-            m=m,
-            datasets=tuple(datasets),
-            conditional=cond,
-            marginal=Distribution(marg),
-            posterior=post,
-        )
-
-    @property
-    def n_datasets(self) -> int:
-        return len(self.datasets)
-
-    def check_bayes_consistency(self, concepts: ConceptSpace) -> float:
-        """Max abs gap of P_C(c) P(s|c) vs P_S(s) P(c|s); raises beyond 1e-12."""
-        lhs = concepts.prior.probs[:, None] * self.conditional
-        rhs = (self.marginal.probs[:, None] * self.posterior).T
-        gap = float(np.max(np.abs(lhs - rhs)))
-        if gap > 1e-12:
-            raise NormalizationError(f"Bayes consistency off by {gap}")
-        return gap
-
-
 @dataclass(frozen=True)
 class HypothesisSpace:
     """Hypothesis alphabet and the loss tensor loss[c, h, z] in [0, l_max]."""
@@ -350,33 +282,67 @@ class HypothesisSpace:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Concept space + dataset space + hypothesis space, checked for fit."""
+    """Concepts and hypotheses, checked for fit, with the datasets they induce.
+
+    The dataset alphabet S = Z^m is derived from the concepts and m alone.
+    datasets[s] is the s-th length-m sample tuple, in lexicographic order
+    (first sample slowest), as a read-only (|Z|^m, m) index array;
+    conditional[c, s] = P(dataset s | concept c), a product of data-law
+    entries; marginal is P_S; posterior[s, c] = P(concept c | dataset s) by
+    Bayes. Datasets with zero marginal mass keep the concept prior as their
+    posterior row, which never matters because they carry no weight.
+    """
 
     concepts: ConceptSpace
-    dataset_space: DatasetSpace
     hypotheses: HypothesisSpace
+    m: int
+    datasets: np.ndarray = field(init=False, repr=False)
+    conditional: np.ndarray = field(init=False, repr=False)
+    marginal: Distribution = field(init=False, repr=False)
+    posterior: np.ndarray = field(init=False, repr=False)
     true_loss_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        n_z, m = self.concepts.n_symbols, self.m
+        count = n_z**m
+        if count > DEFAULT_ENUMERATION_CAP:
+            raise EnumerationCapError(
+                f"dataset alphabet: |Z|^m = {n_z}^{m} = {count} exceeds cap "
+                f"{DEFAULT_ENUMERATION_CAP}"
+            )
         if self.hypotheses.loss.shape[0] != self.concepts.n_concepts:
             raise AlphabetMismatchError("loss tensor concept axis mismatch")
-        if self.hypotheses.loss.shape[2] != self.concepts.n_symbols:
+        if self.hypotheses.loss.shape[2] != n_z:
             raise AlphabetMismatchError("loss tensor sample axis mismatch")
-        self.dataset_space.check_bayes_consistency(self.concepts)
+        # reshape(m, count), not (m, -1): at m = 0 there is one empty dataset
+        idx = np.indices((n_z,) * m).reshape(m, count).T
+        # log-free product; entries can be exactly zero
+        cond = np.ones((self.concepts.n_concepts, count))
+        for j in range(m):
+            cond *= self.concepts.data_law[:, idx[:, j]]
+        prior = self.concepts.prior.probs
+        marg = prior @ cond
+        post = np.divide(prior * cond.T, marg[:, None],
+                         out=np.tile(prior, (count, 1)),
+                         where=marg[:, None] > 0)
         # true_loss_table[c, h] = E_{z ~ p_c} loss[c, h, z], the population risk
         # of the pure hypothesis h under concept c.
         tl = np.einsum("cz,chz->ch", self.concepts.data_law, self.hypotheses.loss)
-        tl.setflags(write=False)
+        for a in (idx, cond, post, tl):
+            a.setflags(write=False)
+        object.__setattr__(self, "datasets", idx)
+        object.__setattr__(self, "conditional", cond)
+        object.__setattr__(self, "marginal", Distribution(marg))
+        object.__setattr__(self, "posterior", post)
         object.__setattr__(self, "true_loss_table", tl)
-
-    @staticmethod
-    def build(concepts: ConceptSpace, hypotheses: HypothesisSpace,
-              m: int) -> "ProblemInstance":
-        return ProblemInstance(concepts, DatasetSpace.build(concepts, m), hypotheses)
+        gap = float(np.max(np.abs(prior[:, None] * cond
+                                  - (self.p_s[:, None] * post).T)))
+        if gap > 1e-12:
+            raise NormalizationError(f"Bayes consistency off by {gap}")
 
     @property
     def n_datasets(self) -> int:
-        return self.dataset_space.n_datasets
+        return self.datasets.shape[0]
 
     @property
     def n_hypotheses(self) -> int:
@@ -384,7 +350,7 @@ class ProblemInstance:
 
     @property
     def p_s(self) -> np.ndarray:
-        return self.dataset_space.marginal.probs
+        return self.marginal.probs
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +371,30 @@ def _names(obj: dict, key: str, pointer: str) -> list[str]:
 
 
 def _number(value, pointer: str) -> float:
+    # bool is an int subclass, but true is no number
+    if isinstance(value, bool):
+        raise ConfigError(pointer, f"expected a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError):
         raise ConfigError(pointer, f"expected a number, got {value!r}") from None
+
+
+def _table(obj: dict, key: str, pointer: str) -> np.ndarray:
+    """obj[key], nested lists of numbers, as a float array. A JSON true or
+    false anywhere in it is refused, where numpy would read 1 or 0."""
+    value = _need(obj, key, pointer)
+    stack = [value]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, list):
+            stack.extend(x)
+        elif isinstance(x, bool):
+            raise ConfigError(f"{pointer}/{key}", f"expected numbers, got {x!r}")
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{pointer}/{key}", str(e)) from None
 
 
 def problem_instance_from_json(obj: dict, pointer: str = "") -> ProblemInstance:
@@ -430,29 +416,32 @@ def problem_instance_from_json(obj: dict, pointer: str = "") -> ProblemInstance:
         names.append(str(c["name"]))
         prior.append(_number(c["prior"], f"{pointer}/concepts/{i}/prior"))
     samples = _names(obj, "samples", pointer)
+    law = _table(obj, "data_law", pointer)
     try:
         cs = ConceptSpace(
             concept_names=tuple(names),
             sample_names=tuple(samples),
             prior=Distribution(prior),
-            data_law=np.asarray(_need(obj, "data_law", pointer), dtype=float),
+            data_law=law,
         )
     except (NormalizationError, AlphabetMismatchError, ValueError) as e:
         raise ConfigError(f"{pointer}/data_law", str(e)) from e
     m = _need(obj, "m", pointer)
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise ConfigError(f"{pointer}/m", "m must be a positive integer")
     hyp_names = _names(obj, "hypotheses", pointer)
+    loss = _table(obj, "loss", pointer)
+    l_max = _number(obj.get("l_max", 1.0), f"{pointer}/l_max")
     try:
         hs = HypothesisSpace(
             hypothesis_names=tuple(hyp_names),
-            loss=np.asarray(_need(obj, "loss", pointer), dtype=float),
-            l_max=float(obj.get("l_max", 1.0)),
+            loss=loss,
+            l_max=l_max,
         )
     except (NormalizationError, AlphabetMismatchError, ValueError) as e:
         raise ConfigError(f"{pointer}/loss", str(e)) from e
     try:
-        return ProblemInstance.build(cs, hs, m)
+        return ProblemInstance(cs, hs, m)
     except (NormalizationError, AlphabetMismatchError, EnumerationCapError) as e:
         raise ConfigError(pointer or "/", str(e)) from e
 
@@ -469,7 +458,7 @@ def problem_instance_to_json(instance: ProblemInstance) -> dict:
         "data_law": cs.data_law.tolist(),
         "hypotheses": list(instance.hypotheses.hypothesis_names),
         "loss": instance.hypotheses.loss.tolist(),
-        "m": instance.dataset_space.m,
+        "m": instance.m,
         "l_max": instance.hypotheses.l_max,
     }
 

@@ -32,7 +32,7 @@ def two_hypothesis_world() -> ProblemInstance:
         loss=np.array([[[0.0, 0.0], [1.0, 1.0]]]),
         l_max=1.0,
     )
-    return ProblemInstance.build(concepts, hyps, 1)
+    return ProblemInstance(concepts, hyps, 1)
 
 
 def random_instance(
@@ -59,7 +59,7 @@ def random_instance(
         hypothesis_names=tuple(f"h{i}" for i in range(n_hypotheses)),
         loss=loss,
     )
-    return ProblemInstance.build(concepts, hyps, m)
+    return ProblemInstance(concepts, hyps, m)
 
 
 def random_rows(rng: np.random.Generator, n_rows: int, n_cols: int,

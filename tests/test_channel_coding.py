@@ -247,7 +247,6 @@ def test_code_sequence_per_symbol_accounting():
     cr = CommonRandomness(5)
     seq = [0, 1, 0, 1]
     coded = code_sequence(post, prior, seq, cr, slack=3.0)
-    assert coded.mode == "per_symbol"
     assert len(coded.records) == len(seq)
     assert len(coded.reconstruction) == len(seq)
     assert coded.total_bits == pytest.approx(

@@ -302,7 +302,7 @@ def world3_file(tmp_path):
     (["code", "--n", "-3"], None, "n"),
     (["code", "--n", "0"], None, "n"),
     (["example1"], {"n_list": 5}, "n_list"),
-    (["example1", "--n", "1"], None, "n"),
+    (["example1", "--n-list", "1"], None, "n_list"),
     (["coordinate"], {"trials": 0}, "trials"),
     (["coordinate", "--n", "0"], None, "n"),
     (["compare-schemes"], {"rate_budget": "x"}, "rate_budget"),
@@ -356,6 +356,7 @@ def test_numeric_settings_convert_like_int_and_float(tmp_path):
     ["compare-schemes", "--seed", "1"],
     ["code", "--tv-trials", "512"],
     ["example1", "--seed", "1"],
+    ["example1", "--n", "5"],
 ], ids=lambda argv: f"{argv[0]}-{argv[1].lstrip('-')}")
 def test_flags_that_did_nothing_are_rejected(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
@@ -405,12 +406,30 @@ def _instance_with(instance_file, key, value, tmp_path):
     (["code"], None, ("samples", 5), "/samples"),
     (["code"], None, ("hypotheses", 3), "/hypotheses"),
     (["code"], {"seed": True}, None, "/seed"),
+    (["code"], {"rule": {"rule": "gibbs", "beta": True}}, None, "/rule/beta"),
+    (["code"], {"rule": {"rule": "map_table", "rows": [[True, False]] * 2}},
+     None, "/rule/rows"),
+    (["code"], None, ("prior", True), "/concepts/0/prior"),
+    (["code"], None, ("m", True), "/m"),
+    (["code"], None, ("l_max", True), "/l_max"),
+    (["code"], None, ("l_max", "x"), "/l_max"),
+    (["code"], None, ("data_law", [[True, False], [0.5, 0.5]]), "/data_law"),
+    (["code"], None, ("loss", [[[0.5, 0.5], [0.5, 0.5]],
+                               [[0.5, 0.5], [0.5, False]]]), "/loss"),
+    (["code"], None, ("data_law", {"z0": 1}), "/data_law"),
+    (["code"], None, ("loss", {"h0": 1}), "/loss"),
+    (["code"], None, ("l_max", None), "/l_max"),
 ], ids=["coordinate-slack-1e6", "code-slack-1e6", "block-slack-1e6",
         "rule-beta-x", "rule-rows-x", "concept-prior-x", "samples-5",
-        "hypotheses-3", "seed-true"])
+        "hypotheses-3", "seed-true", "rule-beta-true", "rule-rows-bools",
+        "concept-prior-true", "m-true", "l_max-true", "l_max-x",
+        "data_law-bools", "loss-bool", "data_law-object", "loss-object",
+        "l_max-null"])
 def test_inputs_that_crashed_exit_2(tmp_path, instance_file, capsys, argv,
                                     config, instance, expect):
-    """Each of these raised a traceback (or, for seed true, ran as seed 1)."""
+    """Each of these raised a traceback, ran with a JSON true or false taken
+    as 1 or 0 (seed true ran as seed 1), or named the wrong key (l_max "x"
+    was reported at /loss)."""
     if instance is not None:
         instance_file = _instance_with(instance_file, *instance, tmp_path)
     argv = argv + ["--instance", instance_file]

@@ -179,7 +179,7 @@ def _strong_by_trial_loop(inst, q, n, seed, trials, slack):
         bits += coded.total_bits
         for i in range(n):
             counts[i, s_seq[i], coded.reconstruction[i]] += 1.0
-    dmat = inst.dataset_space.posterior @ inst.true_loss_table
+    dmat = inst.posterior @ inst.true_loss_table
     d_by_pos, var_by_pos, tv_max = [], [], 0.0
     for i in range(n):
         rows = np.array([counts[i, s] / counts[i, s].sum()

@@ -66,7 +66,7 @@ def test_erm_splits_ties():
         l_max=inst.hypotheses.l_max,
     )
     tied = ProblemInstance(
-        concepts=inst.concepts, dataset_space=inst.dataset_space, hypotheses=hyp
+        concepts=inst.concepts, hypotheses=hyp, m=inst.m
     )
     q = fit(LearningRule.erm(), tied)
     np.testing.assert_allclose(q.rows, 0.5, atol=1e-12)

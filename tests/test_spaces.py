@@ -1,5 +1,6 @@
-"""Alphabets, distributions, and the induced dataset space."""
+"""Alphabets, distributions, and the dataset alphabet an instance induces."""
 
+import itertools
 import json
 import math
 import re
@@ -29,12 +30,12 @@ from beliefcomm.errors import (
 )
 from beliefcomm.spaces import (
     ConceptSpace,
-    DatasetSpace,
+    HypothesisSpace,
+    ProblemInstance,
     _clean_probs,
     _clean_rows,
     _logsumexp_rows,
     _rel_entr,
-    enumerate_datasets,
     problem_instance_from_json,
     problem_instance_to_json,
 )
@@ -110,37 +111,52 @@ def test_mutual_information_perfect_correlation():
     assert abs(mutual_information(joint) - 1.0) < 1e-15
 
 
-def test_enumerate_datasets_lexicographic():
-    ds = enumerate_datasets(3, 2)
-    assert len(ds) == 9
-    assert ds[0] == (0, 0)
-    assert ds[2] == (0, 2)
-    assert ds[-1] == (2, 2)
-
-
-def test_enumerate_datasets_cap():
-    with pytest.raises(EnumerationCapError):
-        enumerate_datasets(10, 8)
-
-
-def test_dataset_space_product_law():
-    cs = ConceptSpace(
+def _one_concept(law):
+    return ConceptSpace(
         concept_names=("c0",),
-        sample_names=("z0", "z1", "z2"),
+        sample_names=tuple(f"z{j}" for j in range(len(law))),
         prior=Distribution([1.0]),
-        data_law=np.array([[0.2, 0.3, 0.5]]),
+        data_law=np.array([law]),
     )
-    space = DatasetSpace.build(cs, m=2)
-    i = space.datasets.index((0, 2))
-    assert abs(space.marginal.probs[i] - 0.10) < 1e-15
-    assert abs(float(space.marginal.probs.sum()) - 1.0) < 1e-12
+
+
+def _instance(cs, m):
+    """cs with one zero-loss hypothesis: the dataset alphabet is all there is."""
+    loss = np.zeros((cs.n_concepts, 1, cs.n_symbols))
+    return ProblemInstance(cs, HypothesisSpace(("h0",), loss), m)
+
+
+def test_datasets_are_lexicographic():
+    ds = _instance(_one_concept([0.2, 0.3, 0.5]), m=2).datasets
+    assert ds.shape == (9, 2)
+    assert tuple(ds[0]) == (0, 0)
+    assert tuple(ds[2]) == (0, 2)
+    assert tuple(ds[-1]) == (2, 2)
+
+
+def test_dataset_alphabet_cap():
+    cs = _one_concept([0.1] * 10)
+    with pytest.raises(EnumerationCapError):
+        _instance(cs, m=8)
+    # refused before the loss tensor's sample axis (2, not 10) is checked
+    with pytest.raises(EnumerationCapError):
+        ProblemInstance(cs, HypothesisSpace(("h0",), np.zeros((1, 1, 2))), 8)
+
+
+def test_dataset_product_law():
+    inst = _instance(_one_concept([0.2, 0.3, 0.5]), m=2)
+    (i,) = np.flatnonzero((inst.datasets == [0, 2]).all(axis=1))
+    assert abs(inst.marginal.probs[i] - 0.10) < 1e-15
+    assert abs(float(inst.marginal.probs.sum()) - 1.0) < 1e-12
 
 
 def test_bayes_consistency_on_random_instances():
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(11)))
     for _ in range(5):
         inst = random_instance(rng, n_concepts=3, n_symbols=2, n_hypotheses=2, m=2)
-        inst.dataset_space.check_bayes_consistency(inst.concepts)
+        lhs = inst.concepts.prior.probs[:, None] * inst.conditional
+        rhs = (inst.p_s[:, None] * inst.posterior).T
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 def test_true_loss_table_shape_and_range():
@@ -157,7 +173,7 @@ def test_instance_json_round_trip():
     back = problem_instance_from_json(blob)
     np.testing.assert_allclose(back.p_s, inst.p_s, atol=1e-15)
     np.testing.assert_allclose(back.true_loss_table, inst.true_loss_table, atol=1e-15)
-    assert back.dataset_space.datasets == inst.dataset_space.datasets
+    np.testing.assert_array_equal(back.datasets, inst.datasets)
 
 
 def test_readme_instance_example_loads():
@@ -294,25 +310,36 @@ def test_clean_rows_matches_row_by_row(rows):
     assert _bits(rows) == _bits(before)
 
 
-def _posterior_one_by_one(prior, cond, marg):
-    """Bayes row by row, as DatasetSpace.build computed it before."""
-    post = np.empty((cond.shape[1], prior.size))
-    for s in range(cond.shape[1]):
+def _alphabet_from_tuples(cs, m):
+    """The dataset alphabet as DatasetSpace.build computed it before: tuples
+    from itertools.product, the log-free product loop over their index
+    array, and Bayes row by row, dividing by the raw marginal."""
+    datasets = list(itertools.product(range(cs.n_symbols), repeat=m))
+    idx = np.array(datasets, dtype=int)
+    cond = np.ones((cs.n_concepts, len(datasets)))
+    for j in range(m):
+        cond *= cs.data_law[:, idx[:, j]]
+    prior = cs.prior.probs
+    marg = prior @ cond
+    post = np.empty((len(datasets), prior.size))
+    for s in range(len(datasets)):
         if marg[s] > 0:
             post[s] = prior * cond[:, s] / marg[s]
         else:
             post[s] = prior
-    return post
+    return idx, cond, Distribution(marg).probs, post
 
 
 _WEIGHTS = st.sampled_from([0.0, 0.0, 0.2, 0.5, 1.0, 3.0])
 
 
 @_SETTINGS
-@given(n_c=st.integers(1, 3), n_z=st.integers(1, 3), m=st.integers(1, 3),
+@given(n_c=st.integers(1, 3), n_z=st.integers(1, 4), m=st.integers(1, 4),
        data=st.data())
 def test_dataset_posterior_matches_row_by_row(n_c, n_z, m, data):
-    """The broadcast Bayes rows equal the loop's, zero-mass datasets too."""
+    """The instance's index array and laws equal the tuple build's to the
+    bit, broadcast Bayes rows against the loop's, zero-mass datasets too;
+    every derived array is read-only."""
     prior = data.draw(hnp.arrays(float, n_c, elements=_WEIGHTS))
     law = data.draw(hnp.arrays(float, (n_c, n_z), elements=_WEIGHTS))
     prior = prior + (prior.sum() == 0)
@@ -323,11 +350,16 @@ def test_dataset_posterior_matches_row_by_row(n_c, n_z, m, data):
         prior=Distribution(prior / prior.sum()),
         data_law=law / law.sum(axis=1, keepdims=True),
     )
-    space = DatasetSpace.build(cs, m)
-    # Bayes divides by the raw marginal, before Distribution renormalises it
-    ref = _posterior_one_by_one(cs.prior.probs, space.conditional,
-                                cs.prior.probs @ space.conditional)
-    assert _bits(space.posterior) == _bits(ref)
+    inst = _instance(cs, m)
+    idx, cond, marg, post = _alphabet_from_tuples(cs, m)
+    assert inst.datasets.shape == idx.shape and inst.datasets.dtype == idx.dtype
+    assert _bits(inst.datasets) == _bits(idx)
+    assert _bits(inst.conditional) == _bits(cond)
+    assert _bits(inst.marginal.probs) == _bits(marg)
+    assert _bits(inst.posterior) == _bits(post)
+    for a in (inst.datasets, inst.conditional, inst.marginal.probs,
+              inst.posterior, inst.true_loss_table):
+        assert not a.flags.writeable
 
 
 def test_zero_mass_datasets_get_the_prior():
@@ -337,6 +369,6 @@ def test_zero_mass_datasets_get_the_prior():
         prior=Distribution([1.0, 0.0]),
         data_law=np.array([[1.0, 0.0], [0.5, 0.5]]),
     )
-    space = DatasetSpace.build(cs, m=1)
-    assert space.marginal.probs[1] == 0.0
-    np.testing.assert_array_equal(space.posterior[1], [1.0, 0.0])
+    inst = _instance(cs, m=1)
+    assert inst.marginal.probs[1] == 0.0
+    np.testing.assert_array_equal(inst.posterior[1], [1.0, 0.0])
