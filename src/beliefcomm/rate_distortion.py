@@ -13,8 +13,9 @@ an expected divergence E_S[D(q(.|s) || r)] subject to semantic distortion
   then decouples across datasets and is closed-form, so each slope is
   solved exactly.
 
-One outer loop serves all three: it brackets and bisects a multiplier to
-land on the budget, blends the bracket ends onto the budget, and reports an
+One outer loop serves all three: it brackets a multiplier, closes in on the
+budget by Illinois steps (regula falsi on the constraint value, safeguarded
+to keep the bracket), blends the bracket ends onto the budget, and reports an
 explicit duality gap: achieved objective minus the best dual lower bound
 seen, which certifies the answer to within the gap. All rates are in bits;
 slopes are bits per unit distortion.
@@ -39,8 +40,8 @@ SLOPE_MAX = 1e6
 # distortion tolerance of solve_dr's duality gap
 _DR_TOL = 1e-10
 _MAX_INNER_ITERS = 10**5
-# never reached: the bracket-width stop ends the bisection within about 50
-# halvings
+# never reached: the gap or bracket-width stop ends the Illinois search
+# within 25 steps on the test suite's worlds (halving took about 50)
 _MAX_BISECTIONS = 200
 # Distortion comparisons inside the solver allow this much absolute dust so a
 # boundary solution computed in floats is not rejected as infeasible.
@@ -213,15 +214,22 @@ def _best_constant(p, dk, baseline):
 
 
 def _bisect_slope(budget, run, cost, tol, width, dust, limit=None):
-    """Least obj subject to cons <= budget, by bisecting a multiplier lam.
+    """Least obj subject to cons <= budget, by searching a multiplier lam.
 
     run(lam) minimizes obj + lam * cons and returns (q, obj, cons, dual,
     iters), dual being a certified lower bound on the constrained optimum;
     cost(q) is (obj, cons) of a blend. Feasible means cons <= budget + dust.
     limit is the feasible (q, obj, cons) at lam = infinity; without one, no
-    feasible lam up to SLOPE_MAX raises. The bisection stops once obj is
-    within tol of the best dual bound or the bracket is narrower than width
-    relative to lam. Returns (q, obj, cons, lam, iters, gap).
+    feasible lam up to SLOPE_MAX raises.
+
+    Doubling lam brackets the budget. Each step then tries lam where the
+    chord through the ends' cons - budget crosses zero, halving the weight
+    of an end that stays put twice in a row (the Illinois method, Dowell &
+    Jarratt 1971), and takes the midpoint while the lower end is unevaluated,
+    the bracket is infinite or the chord's zero is not strictly inside. The
+    search stops once obj is within tol of the best dual bound or the bracket
+    is narrower than width relative to lam. Returns (q, obj, cons, lam,
+    iters, gap).
     """
     lower = -np.inf
     iters = 0
@@ -248,18 +256,36 @@ def _bisect_slope(budget, run, cost, tol, width, dust, limit=None):
                 f"no multiplier up to {SLOPE_MAX} meets budget {budget}; "
                 f"last constraint value {cons_hi}"
             )
-        # an infinite bracket end also ends the bisection below
+        # an infinite bracket end also ends the search below
         hi, (q_hi, obj_hi, cons_hi) = math.inf, limit
 
+    # The ends' weighted cons - budget for the Illinois step. Until the lower
+    # end is evaluated f_lo is nan, and a feasible end up to dust above the
+    # budget gives no sign change either: both take the midpoint.
+    f_lo = math.nan if q_lo is None else cons_lo - budget
+    f_hi = cons_hi - budget
+    moved = None
     for _ in range(_MAX_BISECTIONS):
         if obj_hi - lower <= tol or hi - lo <= width * max(1.0, hi):
             break
-        mid = 0.5 * (lo + hi)
-        q_mid, obj_mid, cons_mid = solve(mid)
-        if cons_mid <= budget + dust:
-            hi, q_hi, obj_hi, cons_hi = mid, q_mid, obj_mid, cons_mid
+        lam = 0.5 * (lo + hi)
+        if f_hi <= 0.0 < f_lo:
+            x = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+            if lo < x < hi:
+                lam = x
+        q_lam, obj_lam, cons_lam = solve(lam)
+        if cons_lam <= budget + dust:
+            hi, q_hi, obj_hi, cons_hi = lam, q_lam, obj_lam, cons_lam
+            f_hi = cons_lam - budget
+            if moved == "hi":
+                f_lo *= 0.5
+            moved = "hi"
         else:
-            lo, q_lo, cons_lo = mid, q_mid, cons_mid
+            lo, q_lo, cons_lo = lam, q_lam, cons_lam
+            f_lo = cons_lam - budget
+            if moved == "lo":
+                f_hi *= 0.5
+            moved = "lo"
 
     # Candidate feasible solutions: the feasible side of the bracket, and
     # blends with the other side that land on the budget (optimal on flat
@@ -388,6 +414,21 @@ def solve_rd_with_prior(instance: ProblemInstance, q_sender: Posterior, epsilon:
     return _prior_grid(instance, q_sender, prior, [epsilon], rate_tol)[0]
 
 
+def _tilt(p, log_prior, d0, sigma):
+    """The prior tilted by slope sigma (nats): the rows q minimizing
+    E_S D(q(.|s) || prior) + sigma <q, d>, and that divergence in nats.
+
+    d0 is d with each row shifted to minimum 0 over the prior's support,
+    which leaves q as it is. The divergence is then -p.log z - sigma p.<q, d0>
+    with both terms bounded as sigma grows, so it is not a difference of
+    large numbers.
+    """
+    a = log_prior - sigma * d0
+    log_z = _logsumexp_rows(a)
+    q = np.exp(a - log_z[:, None])
+    return q, -float(p @ log_z) - sigma * float(np.einsum("s,sh,sh->", p, q, d0))
+
+
 def _prior_grid(instance, q_sender, prior, epsilons,
                 rate_tol=DEFAULT_RATE_TOL) -> list[RDPoint]:
     """solve_rd_with_prior at each budget of a grid, set up once.
@@ -402,10 +443,12 @@ def _prior_grid(instance, q_sender, prior, epsilons,
         raise SupportViolationError("prior lives on the wrong hypothesis alphabet")
 
     supp = prior_p > 0
-    d_inf = float(p @ dk[:, supp].min(axis=1)) - baseline
+    d_min = dk[:, supp].min(axis=1)
+    d_inf = float(p @ d_min) - baseline
     delta_prior = float(p @ (dk @ prior_p)) - baseline
     log_prior = np.full_like(prior_p, -np.inf)
     log_prior[supp] = np.log(prior_p[supp])
+    d0 = dk - d_min[:, None]
     const = None
 
     def cost(q):
@@ -427,15 +470,13 @@ def _prior_grid(instance, q_sender, prior, epsilons,
             continue
 
         def run(slope_bits, epsilon=epsilon):
-            sigma = slope_bits * LOG2
-            a = log_prior[None, :] - sigma * dk
-            log_z = _logsumexp_rows(a)
-            q = np.exp(a - log_z[:, None])
+            q, kl_nats = _tilt(p, log_prior, d0, slope_bits * LOG2)
+            rate = kl_nats / LOG2
             delta = _distortion(p, q, dk, baseline)
-            # exact Lagrangian minimum at this slope
-            f_exact = (-float(p @ log_z) - sigma * baseline) / LOG2
-            return q, _kl_bits(p, q, prior_p), delta, \
-                max(f_exact - slope_bits * epsilon, 0.0), 1
+            # the exact Lagrangian minimum rate + slope * delta, less
+            # slope * epsilon
+            return q, rate, delta, \
+                max(rate + slope_bits * (delta - epsilon), 0.0), 1
 
         q, rate, delta, slope, iters, gap = _bisect_slope(
             epsilon, run, cost, rate_tol, 1e-15, FEAS_DUST)

@@ -1,6 +1,7 @@
 """Rate-distortion solvers: identities, invariants, and oracle agreement."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,12 +30,18 @@ from beliefcomm import (
     two_hypothesis_world,
 )
 from beliefcomm import rate_distortion
-from beliefcomm.errors import InvariantViolationError, SupportViolationError
+from beliefcomm.errors import (
+    ConvergenceError,
+    InvariantViolationError,
+    SupportViolationError,
+)
 from beliefcomm.rate_distortion import (
     _DR_TOL,
+    _MAX_BISECTIONS,
     DEFAULT_RATE_TOL,
     FEAS_DUST,
     LOG2,
+    SLOPE_MAX,
     _ba_lagrangian,
     _bisect_slope,
     _constant_point,
@@ -43,6 +50,7 @@ from beliefcomm.rate_distortion import (
     _point,
     _prior_grid,
     _setup,
+    _tilt,
 )
 from beliefcomm.spaces import _logsumexp_rows, _rel_entr
 from conftest import philox_rng as _rng, sharp_sender as _sharp_sender
@@ -190,8 +198,87 @@ def test_prior_solver_feasible_at_budget():
         assert pt.distortion <= eps + 1e-15
 
 
+def _bisect_slope_midpoint(budget, run, cost, tol, width, dust, limit=None):
+    """The multiplier search as it was before Illinois steps, the reference
+    for the solvers' fast path: least obj subject to cons <= budget, by
+    bisecting a multiplier lam.
+
+    run(lam) minimizes obj + lam * cons and returns (q, obj, cons, dual,
+    iters), dual being a certified lower bound on the constrained optimum;
+    cost(q) is (obj, cons) of a blend. Feasible means cons <= budget + dust.
+    limit is the feasible (q, obj, cons) at lam = infinity; without one, no
+    feasible lam up to SLOPE_MAX raises. The bisection stops once obj is
+    within tol of the best dual bound or the bracket is narrower than width
+    relative to lam. Returns (q, obj, cons, lam, iters, gap).
+    """
+    lower = -np.inf
+    iters = 0
+
+    def solve(lam):
+        nonlocal lower, iters
+        q, obj, cons, dual, it = run(lam)
+        lower = max(lower, dual)
+        iters += it
+        return q, obj, cons
+
+    # Bracket the budget in lam.
+    lo, hi = 0.0, 1.0
+    q_lo = cons_lo = None
+    while hi <= SLOPE_MAX:
+        q_hi, obj_hi, cons_hi = solve(hi)
+        if cons_hi <= budget + dust:
+            break
+        lo, q_lo, cons_lo = hi, q_hi, cons_hi
+        hi *= 2.0
+    else:
+        if limit is None:
+            raise ConvergenceError(
+                f"no multiplier up to {SLOPE_MAX} meets budget {budget}; "
+                f"last constraint value {cons_hi}"
+            )
+        # an infinite bracket end also ends the bisection below
+        hi, (q_hi, obj_hi, cons_hi) = math.inf, limit
+
+    for _ in range(_MAX_BISECTIONS):
+        if obj_hi - lower <= tol or hi - lo <= width * max(1.0, hi):
+            break
+        mid = 0.5 * (lo + hi)
+        q_mid, obj_mid, cons_mid = solve(mid)
+        if cons_mid <= budget + dust:
+            hi, q_hi, obj_hi, cons_hi = mid, q_mid, obj_mid, cons_mid
+        else:
+            lo, q_lo, cons_lo = mid, q_mid, cons_mid
+
+    # Candidate feasible solutions: the feasible side of the bracket, and
+    # blends with the other side that land on the budget (optimal on flat
+    # segments). A linear cons lands in one step; under a convex one each
+    # regula falsi step stays feasible and moves closer.
+    obj_f, cons_f, q_f = obj_hi, cons_hi, q_hi
+    if q_lo is not None and cons_lo > budget > cons_hi:
+        t = 0.0
+        for _ in range(_MAX_BISECTIONS):
+            t += (1.0 - t) * (budget - cons_f) / (cons_lo - cons_f)
+            q_blend = t * q_lo + (1.0 - t) * q_hi
+            obj_blend, cons_blend = cost(q_blend)
+            if not (cons_blend <= budget + dust and obj_blend < obj_f):
+                break
+            obj_f, cons_f, q_f = obj_blend, cons_blend, q_blend
+            if cons_f >= budget - dust:
+                break
+
+    # Exact feasibility: nudge any float dust back inside the budget by
+    # blending with the strictly feasible bracket point.
+    if cons_f > budget and cons_hi < cons_f:
+        a = (budget - cons_hi) / (cons_f - cons_hi)
+        q_f = a * q_f + (1.0 - a) * q_hi
+        obj_f, cons_f = cost(q_f)
+
+    return q_f, obj_f, cons_f, hi, iters, max(obj_f - lower, 0.0)
+
+
 def _solve_with_prior_alone(instance, q_sender, epsilon, prior):
-    """solve_rd_with_prior as it was before grids shared one set-up."""
+    """solve_rd_with_prior as it was before grids shared one set-up, before
+    the Lagrangian priced its rate and before Illinois steps."""
     dmat, baseline = effective_distortion_matrix(instance, q_sender)
     keep = instance.p_s > 0
     p, dk = instance.p_s[keep], dmat[keep]
@@ -216,7 +303,7 @@ def _solve_with_prior_alone(instance, q_sender, epsilon, prior):
         return q, _kl_bits(p, q, prior_p), delta, \
             max(f_exact - slope_bits * epsilon, 0.0), 1
 
-    q, rate, delta, slope, iters, gap = _bisect_slope(
+    q, rate, delta, slope, iters, gap = _bisect_slope_midpoint(
         epsilon, run,
         lambda q: (_kl_bits(p, q, prior_p), _distortion(p, q, dk, baseline)),
         DEFAULT_RATE_TOL, 1e-15, FEAS_DUST)
@@ -239,9 +326,10 @@ def _point_bits(pt):
 def test_prior_grid_matches_one_budget_solves(seed, n_s, n_h, erm, uniform,
                                               fracs):
     """One set-up for a grid gives each point's bits, rows included, as a
-    solve of that budget alone, now and before the grid shared a set-up;
-    the grid starts at 0 and reaches past the prior row's own distortion,
-    where the points share one rate-zero row."""
+    solve of that budget alone, and each point answers the budget as the
+    old one-budget solve did, within the rate tolerance; the grid starts at
+    0 and reaches past the prior row's own distortion, where the points
+    share one rate-zero row."""
     inst = random_instance(_rng(seed), n_concepts=3, n_symbols=n_s,
                            n_hypotheses=n_h, m=1, concentration=0.2)
     q = fit(LearningRule.erm() if erm else LearningRule.gibbs(2.0), inst)
@@ -251,8 +339,34 @@ def test_prior_grid_matches_one_budget_solves(seed, n_s, n_h, erm, uniform,
     grid = [0.0] + [f * max(delta_prior, 0.0) for f in fracs]
     for eps, pt in zip(grid, _prior_grid(inst, q, prior, grid)):
         assert _point_bits(pt) == \
-            _point_bits(solve_rd_with_prior(inst, q, eps, prior)) == \
-            _point_bits(_solve_with_prior_alone(inst, q, eps, prior))
+            _point_bits(solve_rd_with_prior(inst, q, eps, prior))
+        ref = _solve_with_prior_alone(inst, q, eps, prior)
+        assert abs(pt.rate - ref.rate) <= DEFAULT_RATE_TOL
+        assert pt.distortion <= eps + FEAS_DUST
+        assert pt.duality_gap <= DEFAULT_RATE_TOL
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(n_s=st.integers(1, 6), n_h=st.integers(1, 5),
+       slope=st.one_of(st.floats(0.0, SLOPE_MAX),
+                       st.sampled_from([0.0, 1e-3, 1.0, SLOPE_MAX])),
+       data=st.data())
+def test_tilt_rate_matches_the_row_divergence(n_s, n_h, slope, data):
+    """The fixed-prior rate from the exact Lagrangian on shifted rows, at
+    any slope the search reaches, dead prior cells and tied rows included."""
+    p = data.draw(hnp.arrays(float, n_s, elements=st.floats(1e-6, 1.0)))
+    dk = data.draw(hnp.arrays(float, (n_s, n_h), elements=_CELLS))
+    prior = data.draw(hnp.arrays(float, n_h, elements=_CELLS))
+    p /= p.sum()
+    prior[np.argmax(prior)] += prior.max() == 0.0
+    prior /= prior.sum()
+    supp = prior > 0
+    log_prior = np.full(n_h, -np.inf)
+    log_prior[supp] = np.log(prior[supp])
+    d0 = dk - dk[:, supp].min(axis=1)[:, None]
+    q, kl_nats = _tilt(p, log_prior, d0, slope * LOG2)
+    assert np.allclose(q.sum(axis=1), 1.0) and not q[:, ~supp].any()
+    assert abs(kl_nats / LOG2 - _kl_bits(p, q, prior)) <= 1e-12
 
 
 def test_rd_curve_invariants_and_shape():
@@ -426,6 +540,64 @@ def test_bisection_lands_a_convex_constraint_on_the_budget():
     assert cons <= 0.3
     assert cons == pytest.approx(0.3, abs=1e-12)
     assert obj == pytest.approx(-math.sqrt(0.3), abs=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32), n_s=st.integers(2, 3),
+       n_h=st.integers(2, 3), erm=st.booleans(), uniform=st.booleans(),
+       frac=st.sampled_from([0.0, 0.05, 0.3, 0.7, 0.99]))
+def test_illinois_steps_match_the_midpoint_search(seed, n_s, n_h, erm,
+                                                   uniform, frac):
+    """Each solver on Illinois steps against the same solver on the midpoint
+    search: feasible, no worse than the reference by more than its
+    tolerance, and within tolerance wherever the reference is."""
+    inst = random_instance(_rng(seed), n_concepts=3, n_symbols=n_s,
+                           n_hypotheses=n_h, m=1, concentration=0.2)
+    q = fit(LearningRule.erm() if erm else LearningRule.gibbs(2.0), inst)
+    prior = Distribution.uniform(n_h) if uniform else q.marginal
+    dmat, base = effective_distortion_matrix(inst, q)
+    span = float((inst.p_s @ dmat).min()) - base
+    eps = frac * max(span, 0.0)
+
+    def solve_both():
+        return (solve_rd_with_prior(inst, q, eps, prior),
+                solve_rd(inst, q, eps))
+
+    with mock.patch.object(rate_distortion, "_bisect_slope",
+                           _bisect_slope_midpoint):
+        refs = solve_both()
+        budget = frac * refs[1].rate
+        dr_ref = solve_dr(inst, q, budget)
+    got, dr = solve_both(), solve_dr(inst, q, budget)
+    for pt, ref in zip(got, refs):
+        assert pt.distortion <= eps + FEAS_DUST
+        assert pt.rate <= ref.rate + DEFAULT_RATE_TOL
+        if ref.duality_gap <= DEFAULT_RATE_TOL:
+            assert pt.duality_gap <= DEFAULT_RATE_TOL
+    assert dr.rate <= budget
+    assert dr.distortion <= dr_ref.distortion + _DR_TOL
+    if dr_ref.duality_gap <= _DR_TOL:
+        assert dr.duality_gap <= _DR_TOL
+
+
+def test_prior_grid_needs_few_slope_evaluations():
+    """Regression on the search's cost, a count and no timing: verify-bound's
+    gibbs-sender worlds for seed 1000 on its 9-budget grid. The midpoint
+    search takes about 18 slope evaluations per positive-rate budget."""
+    rng = _rng(1000)
+    evals = []
+    for _ in range(200):
+        inst = random_instance(rng, n_concepts=int(rng.integers(2, 4)),
+                               n_symbols=int(rng.integers(2, 4)),
+                               n_hypotheses=int(rng.integers(2, 4)), m=1)
+        beta = float(np.exp(rng.uniform(np.log(0.5), np.log(4.0))))
+        q = fit(LearningRule.gibbs(beta), inst)
+        grid = [round(inst.hypotheses.l_max * k / 8.0, 12) for k in range(9)]
+        evals += [pt.iterations for pt in _prior_grid(inst, q, q.marginal,
+                                                      grid, rate_tol=1e-8)
+                  if pt.iterations]
+    assert len(evals) >= 100
+    assert np.mean(evals) <= 8.0
 
 
 def _binary_symmetric_world():
