@@ -14,9 +14,11 @@ word j mod 4 of the Philox block at counter (floor(j/4) + 1, *path, 0...),
 mapped to a double as (w >> 11) * 2^-53. That is exactly the j-th
 ``random()`` of ``np.random.Philox(key=..., counter=(0, *path, 0...))``,
 which the per-stream accessors return as the reference. The coder itself
-evaluates whole blocks of streams at once with a numpy Philox kernel, and
-every draw is inverse-CDF sampling on those doubles. Equal seeds and paths
-give byte-identical draws; encoder and decoder share no mutable state.
+evaluates Philox blocks with an in-place numpy kernel, up to _CHUNK blocks
+of any mix of streams and domains per pass: an encoder batch draws each
+row's selection block and its candidate blocks in one call. Every draw is
+inverse-CDF sampling on those doubles. Equal seeds and paths give
+byte-identical draws; encoder and decoder share no mutable state.
 
 encode_batch / decode_batch are the one coder: they code B targets at once,
 target b (a symbol's belief, or a w-tuple of beliefs against the product
@@ -48,8 +50,8 @@ DEFAULT_SLACK = 4.0
 DEFAULT_CANDIDATE_CAP = 2**22
 DEFAULT_BLOCK_CAP = 2**16
 
-# uniforms per kernel evaluation and per encoder chunk, and quadrature node
-# times outcomes per chunk of the exact law; bounds the working set
+# Philox blocks per kernel pass, uniforms per encoder chunk, and quadrature
+# nodes times outcomes per chunk of the exact law; bounds the working set
 _CHUNK = 2**13
 _MAX_PATH_WORDS = 3
 
@@ -59,35 +61,38 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> np.uint64(32)
 
 
-def _philox4x64(key: np.ndarray, ctr: np.ndarray) -> np.ndarray:
-    """Philox4x64-10 of each column of a (4, N) uint64 counter array.
+def _philox4x64(key: np.ndarray, ctr: np.ndarray, tmp: np.ndarray):
+    """Philox4x64-10 of each column of a (4, N) uint64 counter array, in place.
 
-    key is a (2, 1) uint64 column. The two 64x64->128 multiplies of a round
-    run as one (2, N) product on 32-bit limbs, lanes (x0, x2) against
-    (x3, x1), updated in place where a temporary can be reused.
+    key is a (2, N) uint64 array, one key per column, and is advanced in
+    place; tmp is a (4, 2, N) uint64 work buffer. The two 64x64->128
+    multiplies of a round run as one (2, N) product on 32-bit limbs, lanes
+    (x0, x2) against (x3, x1), so a round allocates nothing.
     """
     s32 = np.uint64(32)
     even, odd = ctr[0::2], ctr[3::-2]  # (x0, x2), (x3, x1)
+    lo, hi, mid, t = tmp
     for _ in range(10):
-        a_lo, hi = even & _LO32, even >> s32
-        hi_lo, lo_hi, mid = hi * _M_LO, a_lo * _M_HI, a_lo * _M_LO
+        # high word of even * M from 32-bit limbs; no partial sum overflows
+        np.bitwise_and(even, _LO32, out=lo)
+        np.right_shift(even, s32, out=hi)
+        np.multiply(lo, _M_LO, out=mid)
         mid >>= s32
-        mid += hi_lo & _LO32
-        mid += lo_hi & _LO32
+        np.multiply(hi, _M_LO, out=t)
+        t += mid
+        np.bitwise_and(t, _LO32, out=mid)
+        t >>= s32
+        lo *= _M_HI
+        mid += lo
         mid >>= s32
         hi *= _M_HI
+        hi += t
         hi += mid
-        hi_lo >>= s32
-        hi += hi_lo
-        lo_hi >>= s32
-        hi += lo_hi
         # x0' = hi1 ^ x1 ^ k0, x2' = hi0 ^ x3 ^ k1, x1' = lo1, x3' = lo0
-        hi = hi[::-1]
-        hi ^= odd[::-1]
-        hi ^= key
-        even, odd = hi, even * _PHILOX_M
-        key = key + _PHILOX_W
-    return np.stack([even[0], odd[1], even[1], odd[0]])
+        hi ^= odd
+        np.multiply(even, _PHILOX_M, out=odd)
+        np.bitwise_xor(hi[::-1], key, out=even)
+        key += _PHILOX_W
 
 
 def _as_paths(paths) -> np.ndarray:
@@ -116,9 +121,7 @@ class CommonRandomness:
 
     bits_consumed counts 64 bits for every uniform the coder and the data
     samplers read: K per encoded target plus one selection draw, one per
-    decoded target, and every data draw. Encoder padding that a batch
-    generates past a row's own K is not counted, so a batch tallies exactly
-    what its rows would tally coded one at a time.
+    decoded target, and every data draw.
     """
 
     def __init__(self, seed: int):
@@ -128,14 +131,11 @@ class CommonRandomness:
         self.seed = seed
         self.bits_consumed = 0
 
-    def _key(self, domain: int, width: int) -> np.ndarray:
-        return np.array([[self.seed], [domain | width << 32]], dtype=np.uint64)
-
     def _stream(self, domain: int, path: tuple[int, ...]) -> np.random.Generator:
         words = _as_paths([path])[0]
         counter = np.zeros(4, dtype=np.uint64)
         counter[1:1 + len(words)] = words
-        key = self._key(domain, len(words))[:, 0]
+        key = np.array([self.seed, domain | len(words) << 32], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
     def candidate_stream(self, *path: int) -> np.random.Generator:
@@ -147,19 +147,29 @@ class CommonRandomness:
     def data_stream(self, *path: int) -> np.random.Generator:
         return self._stream(_DOMAIN_DATA, path)
 
-    def _blocks(self, domain: int, paths: np.ndarray, rows: np.ndarray,
+    def _blocks(self, domains: np.ndarray, paths: np.ndarray, rows: np.ndarray,
                 blocks: np.ndarray) -> np.ndarray:
-        """Uniforms (N, 4) of block blocks[i] of stream paths[rows[i]]."""
-        key = self._key(domain, paths.shape[1])
-        out = np.empty((len(rows), 4))
-        step = _CHUNK // 4
-        for lo in range(0, len(rows), step):
-            r, b = rows[lo:lo + step], blocks[lo:lo + step]
-            ctr = np.zeros((4, len(r)), dtype=np.uint64)
-            ctr[0] = b + 1
-            ctr[1:1 + paths.shape[1]] = paths[r].T
-            words = _philox4x64(key, ctr) >> np.uint64(11)
-            out[lo:lo + step] = words.T * (1.0 / 2**53)
+        """Uniforms (N, 4) of block blocks[i] of stream (domains[i],
+        paths[rows[i]]), in kernel passes of _CHUNK blocks."""
+        n, width = len(rows), paths.shape[1]
+        out = np.empty((n, 4))
+        # one pass's buffers, no wider than the call needs
+        step = max(1, min(n, _CHUNK))
+        ctr = np.zeros((4, step), dtype=np.uint64)
+        key = np.empty((2, step), dtype=np.uint64)
+        tmp = np.empty((4, 2, step), dtype=np.uint64)
+        key_words = np.asarray(domains, dtype=np.uint64) | np.uint64(width << 32)
+        for lo in range(0, n, step):
+            m = min(step, n - lo)
+            c, k, t = ctr[:, :m], key[:, :m], tmp[:, :, :m]
+            np.add(blocks[lo:lo + m], 1, out=c[0], casting="unsafe")
+            c[1:1 + width] = paths[rows[lo:lo + m]].T
+            c[1 + width:] = 0
+            k[0] = self.seed
+            k[1] = key_words[lo:lo + m]
+            _philox4x64(k, c, t)
+            c >>= np.uint64(11)
+            np.multiply(c.T, 1.0 / 2**53, out=out[lo:lo + m])
         return out
 
     def _uniforms(self, domain: int, paths: np.ndarray, n: int) -> np.ndarray:
@@ -167,14 +177,34 @@ class CommonRandomness:
         n_rows, n_blocks = len(paths), -(-n // 4)
         rows = np.repeat(np.arange(n_rows), n_blocks)
         blocks = np.tile(np.arange(n_blocks), n_rows)
-        return self._blocks(domain, paths, rows, blocks).reshape(
-            n_rows, 4 * n_blocks)[:, :n]
+        return self._blocks(np.full(len(rows), domain), paths, rows,
+                            blocks).reshape(n_rows, 4 * n_blocks)[:, :n]
 
     def _uniforms_at(self, domain: int, paths: np.ndarray,
                      j: np.ndarray) -> np.ndarray:
         """Uniform j[b] of stream paths[b]."""
-        u = self._blocks(domain, paths, np.arange(len(paths)), j // 4)
+        u = self._blocks(np.full(len(paths), domain), paths,
+                         np.arange(len(paths)), j // 4)
         return u[np.arange(len(j)), j % 4]
+
+    def _encoder_uniforms(self, paths: np.ndarray, n: np.ndarray):
+        """An encoder batch's draws in one kernel call: uniform 0 of
+        selection stream paths[b], and uniforms 0..n[b]-1 of candidate stream
+        paths[b] as ceil(n[b] / 4) whole blocks.
+
+        Returns the (B,) selection uniforms, every row's candidate uniforms
+        end to end, and the offset of row b's first candidate uniform.
+        """
+        n_blocks = -(-n // 4)
+        first = np.cumsum(n_blocks) - n_blocks
+        row_of = np.repeat(np.arange(len(n)), n_blocks)
+        drawn = self._blocks(
+            np.repeat([_DOMAIN_SELECTION, _DOMAIN_CANDIDATES],
+                      [len(n), len(row_of)]),
+            paths, np.concatenate([np.arange(len(n)), row_of]),
+            np.concatenate([np.zeros(len(n), dtype=np.int64),
+                            np.arange(len(row_of)) - first[row_of]]))
+        return drawn[:len(n), 0], drawn[len(n):].ravel(), 4 * first
 
     def data_uniforms(self, paths, n: int) -> np.ndarray:
         """Uniforms 0..n-1 of each data stream paths[b], as a (B, n) array."""
@@ -266,11 +296,12 @@ def encode_batch(Q, p: Distribution, n_candidates, cr: CommonRandomness,
     A (B, |H|) array codes one symbol per row. A (B, w, |H|) array codes a
     w-tuple per row against the product prior: candidate c of row b is the
     tuple at uniforms c*w .. c*w + w - 1 of its stream, and sample[b] is the
-    chosen tuple. Rows are coded in chunks of similar K: one kernel call
-    draws a masked candidate block for the chunk, and one selection uniform
-    per row picks a candidate in proportion to its importance weight, or
-    falls back to a uniform index when every weight is zero. Every target
-    must be absolutely continuous w.r.t. the prior.
+    chosen tuple. One kernel call draws every row's selection block and the
+    ceil(K*w/4) blocks that hold its K*w candidate uniforms. Rows are then
+    coded in chunks of similar K: one selection uniform per row picks a
+    candidate in proportion to its importance weight, or falls back to a
+    uniform index when every weight is zero. Every target must be absolutely
+    continuous w.r.t. the prior.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim not in (2, 3) or Q.shape[-1] != len(p):
@@ -283,11 +314,13 @@ def encode_batch(Q, p: Distribution, n_candidates, cr: CommonRandomness,
     index = np.empty(len(Q), dtype=np.int64)
     sample = np.empty((len(Q), w), dtype=np.int64)
     fallback = np.empty(len(Q), dtype=bool)
-    u_sel = cr._uniforms(_DOMAIN_SELECTION, paths, 1)[:, 0]
+    u_sel, u_cand, start = cr._encoder_uniforms(paths, k * w)
     for rows in _row_chunks(k * w):
         kr = k[rows]
-        u_cand = cr._uniforms(_DOMAIN_CANDIDATES, paths[rows], int(kr[-1]) * w)
-        cands = inverse_cdf_sample(p.probs, u_cand).reshape(len(rows), -1, w)
+        # uniforms past a row's own K*w feed only candidates masked below
+        at = np.minimum(start[rows, None] + np.arange(int(kr[-1]) * w),
+                        u_cand.size - 1)
+        cands = inverse_cdf_sample(p.probs, u_cand[at]).reshape(len(rows), -1, w)
         # a tuple weighs prod q / prod p; a symbol's q/p skips the products and
         # the zero guard, which per-symbol batches would pay on every chunk
         q = targets[rows[:, None, None], np.arange(w), cands]

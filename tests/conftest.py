@@ -1,13 +1,36 @@
-"""Shared helpers: seeded generators and senders worth compressing."""
+"""Shared helpers: seeded generators and senders worth compressing.
+
+Hypothesis also draws, now and then, from the literals of every local
+non-test module in sys.modules, so the examples a derandomized property
+test draws depend on what was imported before it runs. Importing every
+beliefcomm module and the bench modules that bench/test_bench.py imports
+here gives each test the same pool, and the same examples, whether it runs
+alone or in the full suite.
+"""
+
+import importlib
+import os
+import pkgutil
+import sys
 
 import numpy as np
 
+import beliefcomm
 from beliefcomm import (
     LearningRule,
     effective_distortion_matrix,
     fit,
     random_instance,
 )
+
+for _module in pkgutil.iter_modules(beliefcomm.__path__):
+    importlib.import_module(f"beliefcomm.{_module.name}")
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench"))
+import checks  # noqa: E402,F401
+import plan  # noqa: E402,F401
+import run  # noqa: E402,F401
+import spans  # noqa: E402,F401
 
 
 def philox_rng(seed):

@@ -1,5 +1,6 @@
 """Channel simulation: shared randomness, the coder, and its output law."""
 
+import hashlib
 import math
 from decimal import Decimal, localcontext
 
@@ -360,17 +361,20 @@ def test_kernel_uniforms_match_keyed_philox(seed, domain, paths, n):
 
 
 def test_kernel_uniforms_across_chunk_boundaries():
-    """Batches and single streams longer than one kernel chunk stay exact."""
+    """Batches and single streams longer than one kernel pass stay exact."""
     cr = CommonRandomness(2**63 + 5)
     paths = [(t, 2**64 - 1 - t) for t in range(20)]
-    n = 4001  # 20 rows x 4001 draws span two chunks, and 4001 % 4 != 0
+    n = 4001  # 20 rows x 1001 blocks span three passes, and 4001 % 4 != 0
+    assert 20 * 1001 > 2 * _CHUNK
     got = cr._uniforms(_DOMAIN_CANDIDATES, _as_paths(paths), n)
     for row, path in zip(got, paths):
         np.testing.assert_array_equal(
             row, _contract_stream(cr.seed, _DOMAIN_CANDIDATES, path).random(n))
-    long = cr._uniforms(_DOMAIN_DATA, _as_paths([(7,)]), _CHUNK + 3)[0]
+    # one stream of _CHUNK + 2 blocks crosses a pass boundary on its own
+    n = 4 * _CHUNK + 5
+    long = cr._uniforms(_DOMAIN_DATA, _as_paths([(7,)]), n)[0]
     np.testing.assert_array_equal(
-        long, _contract_stream(cr.seed, _DOMAIN_DATA, (7,)).random(_CHUNK + 3))
+        long, _contract_stream(cr.seed, _DOMAIN_DATA, (7,)).random(n))
 
 
 @st.composite
@@ -487,3 +491,134 @@ def test_batch_coder_across_chunks_matches_row_by_row():
                          int(ks[b]), stream=paths[b])
         assert (rec.index, rec.sample, rec.fallback) == \
             (enc.index[b], enc.sample[b], enc.fallback[b])
+
+
+def _sha256(*arrays):
+    """SHA-256 of the little-endian bytes of integer, bool and float arrays."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        kind = {"i": "<i8", "b": "|b1", "f": "<f8"}[a.dtype.kind]
+        h.update(np.ascontiguousarray(a, dtype=kind).tobytes())
+    return h.hexdigest()
+
+
+def _pinned_streams():
+    """Coder and data-sampler outputs at a fixed seed and fixed paths.
+
+    K runs 1..200, one row each, per symbol and for width-3 tuples, over a
+    prior with a zero-mass cell and targets with dead cells, so some rows fall
+    back; the batches span several kernel passes.
+    """
+    seed = 2**63 + 11
+    p = Distribution([0.45, 0.0, 0.3, 0.25])
+    rows = np.array([[0.7, 0.0, 0.3, 0.0], [0.0, 0.0, 0.0, 1.0],
+                     [0.25, 0.0, 0.5, 0.25], [1.0, 0.0, 0.0, 0.0],
+                     [0.45, 0.0, 0.3, 0.25]])
+    ks = np.arange(1, 201)
+    paths = [(t, 2**64 - 1 - 3 * t) for t in range(200)]
+    cr = CommonRandomness(seed)
+    out = {}
+    sym = encode_batch(rows[ks % 5], p, ks, cr, paths)
+    out["symbol"] = (sym.index, sym.sample, sym.fallback)
+    out["symbol_decoded"] = (decode_batch(sym.index, p, ks, cr, paths),)
+    tup_rows = rows[(ks[:, None] + np.arange(3)) % 5]
+    tup = encode_batch(tup_rows, p, ks, cr, [(7, t) for t in range(200)])
+    out["tuple"] = (tup.index, tup.sample, tup.fallback)
+    out["tuple_decoded"] = (decode_batch(
+        (tup.index[:, None] * 3 + np.arange(3)).ravel(), p, np.repeat(ks * 3, 3),
+        cr, np.repeat(np.array([(7, t) for t in range(200)], dtype=np.uint64),
+                      3, axis=0)),)
+    out["data"] = (cr.data_uniforms([(5,), (2**64 - 1,), (0,)], 32773),)
+    return out, cr.bits_consumed
+
+
+_PINNED_DIGESTS = {
+    "symbol": "11ed50e4f2a4fc331a6192191c1e921d7e504ea334c96f2f35bc6e783d53cf39",
+    "symbol_decoded":
+        "129c2444271f254db2e7cf309bb8086903556092b1446dcd26d6da23be4d3ba2",
+    "tuple": "15a63c67d55283d6031efb57f71e8e360c3ccc49a6513deb06834c9b825ea37d",
+    "tuple_decoded":
+        "fe6ca00cef58a25b4dd6ced70b655f3ece69199aac300755052fb1aa9f759b79",
+    "data": "d88c63a85d95414c64da669b9e83807ea9ec5f077f7c913889a3c37e595ac086",
+}
+
+
+def test_stream_outputs_match_pinned_digests():
+    """The v2 stream contract end to end: encoder, decoder and data draws
+    hash to fixed digests, so a kernel or batching change that moves any
+    drawn bit fails here. The hashed values are integers, flags and dyadic
+    doubles, so the digests hold on any platform."""
+    out, bits = _pinned_streams()
+    got = {name: _sha256(*arrays) for name, arrays in out.items()}
+    assert got == _PINNED_DIGESTS
+    # K per symbol, 3K per tuple, one selection draw per row, one draw per
+    # decoded symbol, and the data draws
+    assert bits == 64 * (4 * 20100 + 2 * 200 + 200 + 600 + 3 * 32773)
+
+
+@st.composite
+def _fused_batches(draw):
+    """Width, prior, targets, K and paths of a batch whose selection and
+    candidate blocks fill at least three kernel passes: small rows (K = 1
+    among them, K*w often not a multiple of 4) around two rows of about one
+    pass each, so pass boundaries fall at varying places among the rows."""
+    w = draw(st.integers(1, 3))
+    n_h = draw(st.integers(2, 4))
+    p = np.array(draw(st.lists(st.integers(0, 5), min_size=n_h, max_size=n_h)),
+                 dtype=float)
+    p[draw(st.integers(0, n_h - 1))] += 1.0
+    ks = draw(st.lists(st.sampled_from([1, 1, 2, 3, 5, 6, 9, 31]),
+                       min_size=2, max_size=30))
+    for _ in range(2):
+        big = draw(st.integers(4 * _CHUNK, 4 * _CHUNK + 40)) // w
+        ks.insert(draw(st.integers(0, len(ks))), big)
+    targets = []
+    for _ in ks:
+        rows = np.array(draw(st.lists(st.lists(st.integers(0, 4), min_size=n_h,
+                                               max_size=n_h),
+                                      min_size=w, max_size=w)),
+                        dtype=float) * (p > 0)
+        rows[rows.sum(axis=1) == 0, np.argmax(p)] = 1.0
+        targets.append(rows / rows.sum(axis=1, keepdims=True))
+    paths = [(draw(_WORD), t) for t in range(len(ks))]
+    return w, Distribution(p / p.sum()), np.array(targets), ks, paths
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(seed=_WORD, case=_fused_batches())
+def test_fused_encoder_pass_matches_the_contract(seed, case):
+    """The encoder's one kernel call over selection and candidate blocks
+    returns each stream's uniforms draw for draw across pass boundaries,
+    and every row codes and decodes as it does alone."""
+    w, p, targets, ks, paths = case
+    ks = np.array(ks)
+    n_blocks = len(ks) + int((-(-ks * w // 4)).sum())
+    assert n_blocks > 2 * _CHUNK
+    u_sel, u_cand, start = CommonRandomness(seed)._encoder_uniforms(
+        _as_paths(paths), ks * w)
+    for b, path in enumerate(paths):
+        n = int(ks[b]) * w
+        assert u_sel[b] == _contract_stream(seed, _DOMAIN_SELECTION, path).random()
+        np.testing.assert_array_equal(
+            u_cand[start[b]:start[b] + n],
+            _contract_stream(seed, _DOMAIN_CANDIDATES, path).random(n))
+
+    cr = CommonRandomness(seed)
+    enc = encode_batch(targets if w > 1 else targets[:, 0], p, ks, cr, paths)
+    samples = enc.sample.reshape(len(ks), w)
+    for b, (k, path) in enumerate(zip(ks.tolist(), paths)):
+        if w == 1:
+            rec = encode_mrc(Distribution(targets[b, 0]), p,
+                             CommonRandomness(seed), k, stream=path)
+            assert (rec.index, rec.sample, rec.fallback) == \
+                (enc.index[b], enc.sample[b], enc.fallback[b])
+        else:
+            idx, sample = _tuple_reference(targets[b], p, k, seed, path)
+            assert enc.index[b] == idx
+            np.testing.assert_array_equal(samples[b], sample)
+        for j in range(w):
+            assert decode_mrc(int(enc.index[b]) * w + j, p,
+                              CommonRandomness(seed), n_candidates=k * w,
+                              stream=path) == samples[b, j]
+    assert cr.bits_consumed == 64 * (int(ks.sum()) * w + len(ks))
