@@ -392,18 +392,17 @@ def _cmd_verify_bound(cfg, with_oracle):
                                n_hypotheses=int(rng.integers(2, 4)), m=1)
         beta = float(np.exp(rng.uniform(np.log(0.5), np.log(4.0))))
         cases.append((f"random-{i}", inst, fit(LearningRule.gibbs(beta), inst)))
-    rows = []
-    for name, inst, q_alice in cases:
-        prior = _get_prior(cfg, q_alice, inst.n_hypotheses)
-        eps_grid = _epsilon_grid(cfg, inst.hypotheses.l_max)
-        try:
-            checks = verify_bound(inst, q_alice, prior, eps_grid)
-        except BoundViolationError as e:
-            raise BoundViolationError(f"bound violated on {name}: {e}",
-                                      e.instance_json) from e
-        for c in checks:
-            rows.append((name, c.epsilon, c.rate, c.r_star, c.delta_r,
-                         c.bound, c.measured, c.margin, c.ok))
+    bank = [(inst, q_alice, _get_prior(cfg, q_alice, inst.n_hypotheses),
+             _epsilon_grid(cfg, inst.hypotheses.l_max))
+            for _, inst, q_alice in cases]
+    try:
+        checked = verify_bound(bank)
+    except BoundViolationError as e:
+        raise BoundViolationError(f"bound violated on {cases[e.case][0]}: {e}",
+                                  e.instance_json) from e
+    rows = [(name, c.epsilon, c.rate, c.r_star, c.delta_r, c.bound, c.measured,
+             c.margin, c.ok)
+            for (name, *_), checks in zip(cases, checked) for c in checks]
     return (["instance_id", "epsilon", "rate_bits", "r_star_bits",
              "delta_r_bits", "bound", "measured", "margin", "ok"], rows), None
 

@@ -33,12 +33,14 @@ class BoundViolationError(BeliefCommError, AssertionError):
     """A proved distortion bound was exceeded; carries the offending instance.
 
     ``instance_json`` holds a serialized problem instance sufficient to replay
-    the failure.
+    the failure; ``case`` is that instance's index when a bank was checked.
     """
 
-    def __init__(self, message: str, instance_json: dict | None = None):
+    def __init__(self, message: str, instance_json: dict | None = None,
+                 case: int | None = None):
         super().__init__(message)
         self.instance_json = instance_json
+        self.case = case
 
 
 class ConfigError(BeliefCommError, ValueError):

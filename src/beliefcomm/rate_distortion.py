@@ -13,12 +13,16 @@ an expected divergence E_S[D(q(.|s) || r)] subject to semantic distortion
   then decouples across datasets and is closed-form, so each slope is
   solved exactly.
 
-One outer loop serves all three: it brackets a multiplier, closes in on the
-budget by Illinois steps (regula falsi on the constraint value, safeguarded
-to keep the bracket), blends the bracket ends onto the budget, and reports an
-explicit duality gap: achieved objective minus the best dual lower bound
-seen, which certifies the answer to within the gap. All rates are in bits;
-slopes are bits per unit distortion.
+One multiplier search serves all three: it brackets a multiplier, closes in
+on the budget by Illinois steps (regula falsi on the constraint value,
+safeguarded to keep the bracket), blends the bracket ends onto the budget,
+and reports an explicit duality gap: achieved objective minus the best dual
+lower bound seen, which certifies the answer to within the gap. The search
+is a generator that yields each multiplier and is sent its evaluation, so
+one copy of it is driven two ways: by a scalar run(lam) for one problem
+(solve_rd, solve_dr), and in lockstep over a bank of fixed-prior problems,
+where every multiplier step is one batched tilt per problem shape. All rates
+are in bits; slopes are bits per unit distortion.
 """
 
 from __future__ import annotations
@@ -213,14 +217,15 @@ def _best_constant(p, dk, baseline):
     return np.eye(dk.shape[1])[h_star], float(dbar[h_star]) - baseline
 
 
-def _bisect_slope(budget, run, cost, tol, width, dust, limit=None):
+def _search(budget, cost, tol, width, dust, limit=None):
     """Least obj subject to cons <= budget, by searching a multiplier lam.
 
-    run(lam) minimizes obj + lam * cons and returns (q, obj, cons, dual,
-    iters), dual being a certified lower bound on the constrained optimum;
-    cost(q) is (obj, cons) of a blend. Feasible means cons <= budget + dust.
-    limit is the feasible (q, obj, cons) at lam = infinity; without one, no
-    feasible lam up to SLOPE_MAX raises.
+    A generator: it yields each lam to evaluate and is sent back (q, obj,
+    cons, dual, iters), q minimizing obj + lam * cons and dual being a
+    certified lower bound on the constrained optimum; cost(q) is (obj, cons)
+    of a blend. Feasible means cons <= budget + dust. limit is the feasible
+    (q, obj, cons) at lam = infinity; without one, no feasible lam up to
+    SLOPE_MAX raises.
 
     Doubling lam brackets the budget. Each step then tries lam where the
     chord through the ends' cons - budget crosses zero, halving the weight
@@ -236,7 +241,7 @@ def _bisect_slope(budget, run, cost, tol, width, dust, limit=None):
 
     def solve(lam):
         nonlocal lower, iters
-        q, obj, cons, dual, it = run(lam)
+        q, obj, cons, dual, it = yield lam
         lower = max(lower, dual)
         iters += it
         return q, obj, cons
@@ -245,7 +250,7 @@ def _bisect_slope(budget, run, cost, tol, width, dust, limit=None):
     lo, hi = 0.0, 1.0
     q_lo = cons_lo = None
     while hi <= SLOPE_MAX:
-        q_hi, obj_hi, cons_hi = solve(hi)
+        q_hi, obj_hi, cons_hi = yield from solve(hi)
         if cons_hi <= budget + dust:
             break
         lo, q_lo, cons_lo = hi, q_hi, cons_hi
@@ -273,7 +278,7 @@ def _bisect_slope(budget, run, cost, tol, width, dust, limit=None):
             x = lo + (hi - lo) * f_lo / (f_lo - f_hi)
             if lo < x < hi:
                 lam = x
-        q_lam, obj_lam, cons_lam = solve(lam)
+        q_lam, obj_lam, cons_lam = yield from solve(lam)
         if cons_lam <= budget + dust:
             hi, q_hi, obj_hi, cons_hi = lam, q_lam, obj_lam, cons_lam
             f_hi = cons_lam - budget
@@ -312,6 +317,20 @@ def _bisect_slope(budget, run, cost, tol, width, dust, limit=None):
         obj_f, cons_f = cost(q_f)
 
     return q_f, obj_f, cons_f, hi, iters, max(obj_f - lower, 0.0)
+
+
+def _bisect_slope(budget, run, cost, tol, width, dust, limit=None):
+    """_search driven by one problem's run(lam), which returns what the
+    search is sent: (q, obj, cons, dual, iters). Returns (q, obj, cons, lam,
+    iters, gap)."""
+    search = _search(budget, cost, tol, width, dust, limit)
+    lam = next(search)
+    while True:
+        result = run(lam)
+        try:
+            lam = search.send(result)
+        except StopIteration as done:
+            return done.value
 
 
 def _distortion(p, q, dk, baseline):
@@ -411,77 +430,124 @@ def solve_rd_with_prior(instance: ProblemInstance, q_sender: Posterior, epsilon:
     (tilt the prior by the distortion column), so every slope evaluation is
     exact and the dual bound is tight.
     """
-    return _prior_grid(instance, q_sender, prior, [epsilon], rate_tol)[0]
+    return _prior_grid([(instance, q_sender, prior, [epsilon])], rate_tol)[0][0]
 
 
 def _tilt(p, log_prior, d0, sigma):
-    """The prior tilted by slope sigma (nats): the rows q minimizing
-    E_S D(q(.|s) || prior) + sigma <q, d>, and that divergence in nats.
+    """The priors tilted by slopes sigma (nats), one problem per leading
+    index: the rows q minimizing E_S D(q(.|s) || prior) + sigma <q, d>, and
+    that divergence in nats.
 
     d0 is d with each row shifted to minimum 0 over the prior's support,
     which leaves q as it is. The divergence is then -p.log z - sigma p.<q, d0>
     with both terms bounded as sigma grows, so it is not a difference of
-    large numbers.
+    large numbers. The row-wise logsumexp, the matmul and the three-operand
+    einsum give each problem the bits it gets alone; (p * log_z).sum(1) or
+    einsum("bs,bs->b") would not.
     """
-    a = log_prior - sigma * d0
-    log_z = _logsumexp_rows(a)
-    q = np.exp(a - log_z[:, None])
-    return q, -float(p @ log_z) - sigma * float(np.einsum("s,sh,sh->", p, q, d0))
+    a = log_prior[:, None, :] - sigma[:, None, None] * d0
+    n_b, n_s, n_h = a.shape
+    log_z = _logsumexp_rows(a.reshape(n_b * n_s, n_h)).reshape(n_b, n_s)
+    q = np.exp(a - log_z[:, :, None])
+    p_log_z = np.matmul(p[:, None, :], log_z[:, :, None])[:, 0, 0]
+    return q, -p_log_z - sigma * np.einsum("bs,bsh,bsh->b", p, q, d0)
 
 
-def _prior_grid(instance, q_sender, prior, epsilons,
-                rate_tol=DEFAULT_RATE_TOL) -> list[RDPoint]:
-    """solve_rd_with_prior at each budget of a grid, set up once.
-
-    The distortion rows, the prior's reach and log, and the rate-zero point
-    depend on the instance, the sender and the prior alone; every budget
-    the prior row meets shares that one point, with its own epsilon.
-    """
-    p, dk, baseline = _setup(instance, q_sender)
-    prior_p = prior.probs
-    if len(prior_p) != instance.n_hypotheses:
-        raise SupportViolationError("prior lives on the wrong hypothesis alphabet")
-
-    supp = prior_p > 0
-    d_min = dk[:, supp].min(axis=1)
-    d_inf = float(p @ d_min) - baseline
-    delta_prior = float(p @ (dk @ prior_p)) - baseline
-    log_prior = np.full_like(prior_p, -np.inf)
-    log_prior[supp] = np.log(prior_p[supp])
-    d0 = dk - d_min[:, None]
-    const = None
-
+def _prior_search(instance, epsilon, p, dk, baseline, prior_p, rate_tol):
+    """One budget's _search against a fixed prior; returns its RDPoint."""
     def cost(q):
         return _kl_bits(p, q, prior_p), _distortion(p, q, dk, baseline)
 
-    points = []
-    for epsilon in map(float, epsilons):
-        _check_budget(epsilon)
-        if epsilon < d_inf - FEAS_DUST:
+    q, rate, delta, slope, iters, gap = yield from _search(
+        epsilon, cost, rate_tol, 1e-15, FEAS_DUST)
+    return _point(instance, epsilon, q, prior_p, rate, delta, slope, iters,
+                  gap)
+
+
+def _lockstep(searches, p, log_prior, d0, dk, baseline, epsilon):
+    """Drive fixed-prior searches of one shape together, row b of each
+    stacked array belonging to searches[b]: every multiplier step is one
+    batched tilt over the searches still open. Returns their results."""
+    results = [None] * len(searches)
+    live = list(range(len(searches)))
+    lam = np.array([next(search) for search in searches])
+    while live:
+        q, kl_nats = _tilt(p[live], log_prior[live], d0[live], lam * LOG2)
+        rate = kl_nats / LOG2
+        delta = np.einsum("bs,bsh,bsh->b", p[live], q, dk[live]) \
+            - baseline[live]
+        # the exact Lagrangian minimum rate + slope * delta, less
+        # slope * epsilon
+        dual = rate + lam * (delta - epsilon[live])
+        still, lams = [], []
+        for k, b in enumerate(live):
+            try:
+                lams.append(searches[b].send((
+                    q[k], float(rate[k]), float(delta[k]),
+                    max(float(dual[k]), 0.0), 1)))
+            except StopIteration as done:
+                results[b] = done.value
+            else:
+                still.append(b)
+        live, lam = still, np.array(lams)
+    return results
+
+
+def _prior_grid(problems, rate_tol=DEFAULT_RATE_TOL) -> list[list[RDPoint]]:
+    """solve_rd_with_prior over a bank of problems (instance, sender, prior,
+    budgets), each set up once, every search of the bank in lockstep.
+
+    The distortion rows, the prior's reach and log, and the rate-zero point
+    depend on the instance, the sender and the prior alone; every budget
+    the prior row meets shares that one point, with its own epsilon. The
+    other budgets are searched together: the searches whose kept-dataset x
+    hypothesis shape agree share one batched tilt per multiplier step, which
+    gives each search the bits it gets alone. Returns each problem's points
+    in budget order.
+    """
+    points, banks = [], {}
+    for instance, q_sender, prior, epsilons in problems:
+        p, dk, baseline = _setup(instance, q_sender)
+        prior_p = prior.probs
+        if len(prior_p) != instance.n_hypotheses:
             raise SupportViolationError(
-                f"budget {epsilon} unreachable inside the prior support "
-                f"(best achievable {d_inf}); the rate is infinite"
-            )
-        if delta_prior <= epsilon + FEAS_DUST:
-            if const is None:
-                const = _constant_point(instance, epsilon, prior_p, delta_prior)
-            points.append(dataclasses.replace(
-                const, epsilon=epsilon, distortion=min(delta_prior, epsilon)))
-            continue
+                "prior lives on the wrong hypothesis alphabet")
 
-        def run(slope_bits, epsilon=epsilon):
-            q, kl_nats = _tilt(p, log_prior, d0, slope_bits * LOG2)
-            rate = kl_nats / LOG2
-            delta = _distortion(p, q, dk, baseline)
-            # the exact Lagrangian minimum rate + slope * delta, less
-            # slope * epsilon
-            return q, rate, delta, \
-                max(rate + slope_bits * (delta - epsilon), 0.0), 1
-
-        q, rate, delta, slope, iters, gap = _bisect_slope(
-            epsilon, run, cost, rate_tol, 1e-15, FEAS_DUST)
-        points.append(_point(instance, epsilon, q, prior_p, rate, delta, slope,
-                             iters, gap))
+        supp = prior_p > 0
+        d_min = dk[:, supp].min(axis=1)
+        d_inf = float(p @ d_min) - baseline
+        delta_prior = float(p @ (dk @ prior_p)) - baseline
+        log_prior = np.full_like(prior_p, -np.inf)
+        log_prior[supp] = np.log(prior_p[supp])
+        d0 = dk - d_min[:, None]
+        const = None
+        pts = []
+        for epsilon in map(float, epsilons):
+            _check_budget(epsilon)
+            if epsilon < d_inf - FEAS_DUST:
+                raise SupportViolationError(
+                    f"budget {epsilon} unreachable inside the prior support "
+                    f"(best achievable {d_inf}); the rate is infinite"
+                )
+            if delta_prior <= epsilon + FEAS_DUST:
+                if const is None:
+                    const = _constant_point(instance, epsilon, prior_p,
+                                            delta_prior)
+                pts.append(dataclasses.replace(
+                    const, epsilon=epsilon,
+                    distortion=min(delta_prior, epsilon)))
+                continue
+            slots, searches, rows = banks.setdefault(dk.shape, ([], [], []))
+            slots.append((pts, len(pts)))
+            searches.append(_prior_search(instance, epsilon, p, dk, baseline,
+                                          prior_p, rate_tol))
+            rows.append((p, log_prior, d0, dk, baseline, epsilon))
+            pts.append(None)
+        points.append(pts)
+    for slots, searches, rows in banks.values():
+        stacked = [np.array(column) for column in zip(*rows)]
+        for (pts, i), point in zip(slots, _lockstep(searches, *stacked)):
+            pts[i] = point
     return points
 
 
@@ -491,5 +557,5 @@ def rd_curve(instance: ProblemInstance, q_sender: Posterior, epsilons,
     if prior is None:
         pts = [solve_rd(instance, q_sender, float(eps)) for eps in epsilons]
     else:
-        pts = _prior_grid(instance, q_sender, prior, epsilons)
+        pts = _prior_grid([(instance, q_sender, prior, epsilons)])[0]
     return RDCurve(points=tuple(pts))

@@ -27,7 +27,6 @@ from .learning import (LearningRule, Posterior, _rule_rows, d_sem,
                        dataset_scores)
 from .rate_distortion import _prior_grid, solve_dr, solve_rd
 from .spaces import (
-    Distribution,
     ProblemInstance,
     _clean_rows,
     mutual_information,
@@ -221,40 +220,52 @@ class BoundCheckRow:
         return self.measured <= self.bound + BOUND_TOL
 
 
-def verify_bound(instance: ProblemInstance, q_alice: Posterior,
-                 prior: Distribution, epsilon_grid) -> list[BoundCheckRow]:
-    """Check measured distortion against the rate-deficit ceiling, per budget.
+def verify_bound(cases) -> list[list[BoundCheckRow]]:
+    """Check measured distortion against the rate-deficit ceiling, per budget,
+    for each case (instance, q_alice, prior, epsilon_grid) of a bank.
 
-    The reference rate is the budget-zero optimum under the given prior.
-    Measured distortion is recomputed from the distortion definition, not
-    read off the solver, so the check crosses two code paths. Any violation
-    beyond BOUND_TOL raises with the serialized instance attached.
+    A case's reference rate is its budget-zero optimum under its prior. The
+    whole bank's budgets are solved in one lockstep call of the prior
+    solver; the checks then run case by case. Measured distortion is
+    recomputed from the distortion definition, not read off the solver, so
+    the check crosses two code paths. Any violation beyond BOUND_TOL raises
+    with the serialized instance and the case's index in the bank attached.
+    Returns each case's rows.
     """
-    grid = [float(eps) for eps in epsilon_grid]
+    grids = [[float(eps) for eps in grid] for *_, grid in cases]
     # a budget of 0 is the reference point itself; the solve is deterministic
-    budgets = [0.0] + [eps for eps in grid if eps != 0.0]
-    points = dict(zip(budgets, _prior_grid(instance, q_alice, prior, budgets,
-                                           rate_tol=_VERIFY_RATE_TOL)))
-    r_star = points[0.0].rate
-    rows = []
-    q_measured = measured = None
-    for eps in grid:
-        point = points[eps]
-        delta_r = max(r_star - point.rate, 0.0)
-        bound = distortion_rate_bound(delta_r, instance.hypotheses.l_max)
-        # budgets the prior row meets share one point
-        if point.q_tilde is not q_measured:
-            q_measured = point.q_tilde
-            measured = d_sem(q_alice, q_measured, instance)
-        row = BoundCheckRow(
-            epsilon=eps, rate=point.rate, r_star=r_star,
-            delta_r=delta_r, bound=bound, measured=measured,
-        )
-        if measured > bound + BOUND_TOL:
-            raise BoundViolationError(
-                f"distortion {measured} exceeds ceiling {bound} + {BOUND_TOL} at "
-                f"eps={eps} (rate {point.rate}, reference {r_star})",
-                instance_json=problem_instance_to_json(instance),
+    budgets = [[0.0] + [eps for eps in grid if eps != 0.0] for grid in grids]
+    solved = _prior_grid(
+        [(instance, q_alice, prior, b)
+         for (instance, q_alice, prior, _), b in zip(cases, budgets)],
+        rate_tol=_VERIFY_RATE_TOL)
+    checked = []
+    for case, ((instance, q_alice, *_), grid, b, pts) in enumerate(
+            zip(cases, grids, budgets, solved)):
+        points = dict(zip(b, pts))
+        r_star = points[0.0].rate
+        rows = []
+        q_measured = measured = None
+        for eps in grid:
+            point = points[eps]
+            delta_r = max(r_star - point.rate, 0.0)
+            bound = distortion_rate_bound(delta_r, instance.hypotheses.l_max)
+            # budgets the prior row meets share one point
+            if point.q_tilde is not q_measured:
+                q_measured = point.q_tilde
+                measured = d_sem(q_alice, q_measured, instance)
+            row = BoundCheckRow(
+                epsilon=eps, rate=point.rate, r_star=r_star,
+                delta_r=delta_r, bound=bound, measured=measured,
             )
-        rows.append(row)
-    return rows
+            if measured > bound + BOUND_TOL:
+                raise BoundViolationError(
+                    f"distortion {measured} exceeds ceiling {bound} + "
+                    f"{BOUND_TOL} at eps={eps} (rate {point.rate}, "
+                    f"reference {r_star})",
+                    instance_json=problem_instance_to_json(instance),
+                    case=case,
+                )
+            rows.append(row)
+        checked.append(rows)
+    return checked

@@ -175,7 +175,7 @@ def _sparse_law(n):
                     min_size=n, max_size=n).filter(lambda v: sum(v) > 0)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(derandomize=True, max_examples=150, deadline=None)
 @given(st.integers(2, 4).flatmap(
     lambda n: st.tuples(_sparse_law(n), _sparse_law(n),
                         st.integers(1, {2: 10, 3: 6, 4: 5}[n]))))

@@ -369,9 +369,10 @@ def test_bound_violation_writes_the_instance_and_exits_3(tmp_path, capsys,
     from beliefcomm import cli
     from beliefcomm.errors import BoundViolationError
 
-    def violated(instance, *args, **kwargs):
-        raise BoundViolationError("distortion above ceiling",
-                                  instance_json=problem_instance_to_json(instance))
+    def violated(cases):
+        raise BoundViolationError(
+            "distortion above ceiling",
+            instance_json=problem_instance_to_json(cases[0][0]), case=0)
 
     monkeypatch.setattr(cli, "verify_bound", violated)
     out = tmp_path / "o"
@@ -381,6 +382,36 @@ def test_bound_violation_writes_the_instance_and_exits_3(tmp_path, capsys,
         "bound violated on alternating-world: distortion above ceiling; "
         f"instance in {repro}\n")
     assert json.loads(repro.read_text())["hypotheses"]
+    assert not (out / "verify-bound.csv").exists()
+
+
+def test_bound_violation_in_a_bank_names_its_world(tmp_path, capsys,
+                                                   monkeypatch):
+    """A violation on a world that is not first in the bank names that
+    world and writes that world's instance."""
+    from beliefcomm import schemes
+
+    seen = []
+
+    def d_sem(q_alice, q_receiver, instance):
+        if not seen or seen[-1] is not instance:
+            seen.append(instance)
+        if len(seen) == 3:
+            return 2.0
+        return true_d_sem(q_alice, q_receiver, instance)
+
+    true_d_sem = schemes.d_sem
+    monkeypatch.setattr(schemes, "d_sem", d_sem)
+    out = tmp_path / "o"
+    assert main(["verify-bound", "--instances", "4", "--out", str(out)]) == 3
+    repro = out / "violation.json"
+    err = capsys.readouterr().err
+    assert err.startswith("bound violated on random-1: distortion 2.0 "
+                          "exceeds ceiling ")
+    assert err.endswith(f"; instance in {repro}\n")
+    written = json.loads(repro.read_text())
+    assert written == json.loads(json.dumps(problem_instance_to_json(seen[2])))
+    assert written != json.loads(json.dumps(problem_instance_to_json(seen[0])))
     assert not (out / "verify-bound.csv").exists()
 
 

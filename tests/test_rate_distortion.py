@@ -1,5 +1,6 @@
 """Rate-distortion solvers: identities, invariants, and oracle agreement."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -21,6 +22,7 @@ from beliefcomm import (
     kl_rate,
     mutual_information,
     problem_instance_from_json,
+    problem_instance_to_json,
     random_instance,
     rd_curve,
     rd_grid_oracle,
@@ -49,6 +51,7 @@ from beliefcomm.rate_distortion import (
     _kl_bits,
     _point,
     _prior_grid,
+    _search,
     _setup,
     _tilt,
 )
@@ -198,25 +201,26 @@ def test_prior_solver_feasible_at_budget():
         assert pt.distortion <= eps + 1e-15
 
 
-def _bisect_slope_midpoint(budget, run, cost, tol, width, dust, limit=None):
+def _search_midpoint(budget, cost, tol, width, dust, limit=None):
     """The multiplier search as it was before Illinois steps, the reference
     for the solvers' fast path: least obj subject to cons <= budget, by
     bisecting a multiplier lam.
 
-    run(lam) minimizes obj + lam * cons and returns (q, obj, cons, dual,
-    iters), dual being a certified lower bound on the constrained optimum;
-    cost(q) is (obj, cons) of a blend. Feasible means cons <= budget + dust.
-    limit is the feasible (q, obj, cons) at lam = infinity; without one, no
-    feasible lam up to SLOPE_MAX raises. The bisection stops once obj is
-    within tol of the best dual bound or the bracket is narrower than width
-    relative to lam. Returns (q, obj, cons, lam, iters, gap).
+    A generator, as _search: it yields each lam and is sent back (q, obj,
+    cons, dual, iters), q minimizing obj + lam * cons and dual being a
+    certified lower bound on the constrained optimum; cost(q) is (obj, cons)
+    of a blend. Feasible means cons <= budget + dust. limit is the feasible
+    (q, obj, cons) at lam = infinity; without one, no feasible lam up to
+    SLOPE_MAX raises. The bisection stops once obj is within tol of the best
+    dual bound or the bracket is narrower than width relative to lam.
+    Returns (q, obj, cons, lam, iters, gap).
     """
     lower = -np.inf
     iters = 0
 
     def solve(lam):
         nonlocal lower, iters
-        q, obj, cons, dual, it = run(lam)
+        q, obj, cons, dual, it = yield lam
         lower = max(lower, dual)
         iters += it
         return q, obj, cons
@@ -225,7 +229,7 @@ def _bisect_slope_midpoint(budget, run, cost, tol, width, dust, limit=None):
     lo, hi = 0.0, 1.0
     q_lo = cons_lo = None
     while hi <= SLOPE_MAX:
-        q_hi, obj_hi, cons_hi = solve(hi)
+        q_hi, obj_hi, cons_hi = yield from solve(hi)
         if cons_hi <= budget + dust:
             break
         lo, q_lo, cons_lo = hi, q_hi, cons_hi
@@ -243,7 +247,7 @@ def _bisect_slope_midpoint(budget, run, cost, tol, width, dust, limit=None):
         if obj_hi - lower <= tol or hi - lo <= width * max(1.0, hi):
             break
         mid = 0.5 * (lo + hi)
-        q_mid, obj_mid, cons_mid = solve(mid)
+        q_mid, obj_mid, cons_mid = yield from solve(mid)
         if cons_mid <= budget + dust:
             hi, q_hi, obj_hi, cons_hi = mid, q_mid, obj_mid, cons_mid
         else:
@@ -274,6 +278,12 @@ def _bisect_slope_midpoint(budget, run, cost, tol, width, dust, limit=None):
         obj_f, cons_f = cost(q_f)
 
     return q_f, obj_f, cons_f, hi, iters, max(obj_f - lower, 0.0)
+
+
+def _bisect_slope_midpoint(budget, run, cost, tol, width, dust, limit=None):
+    """_bisect_slope driving the midpoint search."""
+    with mock.patch.object(rate_distortion, "_search", _search_midpoint):
+        return _bisect_slope(budget, run, cost, tol, width, dust, limit)
 
 
 def _solve_with_prior_alone(instance, q_sender, epsilon, prior):
@@ -337,13 +347,116 @@ def test_prior_grid_matches_one_budget_solves(seed, n_s, n_h, erm, uniform,
     dmat, base = effective_distortion_matrix(inst, q)
     delta_prior = float(inst.p_s @ (dmat @ prior.probs)) - base
     grid = [0.0] + [f * max(delta_prior, 0.0) for f in fracs]
-    for eps, pt in zip(grid, _prior_grid(inst, q, prior, grid)):
+    for eps, pt in zip(grid, _prior_grid([(inst, q, prior, grid)])[0]):
         assert _point_bits(pt) == \
             _point_bits(solve_rd_with_prior(inst, q, eps, prior))
         ref = _solve_with_prior_alone(inst, q, eps, prior)
         assert abs(pt.rate - ref.rate) <= DEFAULT_RATE_TOL
         assert pt.distortion <= eps + FEAS_DUST
         assert pt.duality_gap <= DEFAULT_RATE_TOL
+
+
+def _prior_grid_one_world(instance, q_sender, prior, epsilons,
+                          rate_tol=DEFAULT_RATE_TOL):
+    """The fixed-prior grid solver as it was before banks: one world at a
+    time, every multiplier step a tilt of that world alone."""
+    p, dk, baseline = _setup(instance, q_sender)
+    prior_p = prior.probs
+    supp = prior_p > 0
+    d_min = dk[:, supp].min(axis=1)
+    delta_prior = float(p @ (dk @ prior_p)) - baseline
+    log_prior = np.full_like(prior_p, -np.inf)
+    log_prior[supp] = np.log(prior_p[supp])
+    d0 = dk - d_min[:, None]
+    const = None
+
+    def cost(q):
+        return _kl_bits(p, q, prior_p), _distortion(p, q, dk, baseline)
+
+    points = []
+    for epsilon in map(float, epsilons):
+        if delta_prior <= epsilon + FEAS_DUST:
+            if const is None:
+                const = _constant_point(instance, epsilon, prior_p,
+                                        delta_prior)
+            points.append(dataclasses.replace(
+                const, epsilon=epsilon, distortion=min(delta_prior, epsilon)))
+            continue
+
+        def run(slope_bits, epsilon=epsilon):
+            sigma = slope_bits * LOG2
+            a = log_prior - sigma * d0
+            log_z = _logsumexp_rows(a)
+            q = np.exp(a - log_z[:, None])
+            rate = (-float(p @ log_z)
+                    - sigma * float(np.einsum("s,sh,sh->", p, q, d0))) / LOG2
+            delta = _distortion(p, q, dk, baseline)
+            return q, rate, delta, \
+                max(rate + slope_bits * (delta - epsilon), 0.0), 1
+
+        q, rate, delta, slope, iters, gap = _bisect_slope(
+            epsilon, run, cost, rate_tol, 1e-15, FEAS_DUST)
+        points.append(_point(instance, epsilon, q, prior_p, rate, delta, slope,
+                             iters, gap))
+    return points
+
+
+_BANK_FRACS = st.lists(st.sampled_from([0.0, 0.3, 0.7, 0.99, 1.0, 1.5]),
+                       max_size=4)
+
+
+@st.composite
+def _prior_banks(draw):
+    """A bank of fixed-prior problems: worlds with 1-3 kept datasets, up to
+    one extra sample of zero mass, |H| 2-4, erm or gibbs senders, marginal or
+    uniform priors, budgets at 0, inside the curve and past the prior row;
+    then one world whose budgets are all past its prior row, so it searches
+    none, and a repeat of an earlier problem."""
+    bank = []
+    for _ in range(draw(st.integers(1, 5))):
+        n_live, n_h = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+        inst = random_instance(_rng(draw(st.integers(0, 2**32 - 1))),
+                               n_concepts=3, n_symbols=n_live,
+                               n_hypotheses=n_h, m=1, concentration=0.2)
+        if draw(st.booleans()):
+            obj = problem_instance_to_json(inst)
+            at = draw(st.integers(0, n_live))
+            obj["samples"].insert(at, "dead")
+            for row in obj["data_law"]:
+                row.insert(at, 0.0)
+            for rows in obj["loss"]:
+                for row in rows:
+                    row.insert(at, draw(st.floats(0.0, 1.0)))
+            inst = problem_instance_from_json(obj)
+        q = fit(LearningRule.erm() if draw(st.booleans())
+                else LearningRule.gibbs(2.0), inst)
+        prior = Distribution.uniform(n_h) if draw(st.booleans()) \
+            else q.marginal
+        dmat, base = effective_distortion_matrix(inst, q)
+        delta_prior = max(float(inst.p_s @ (dmat @ prior.probs)) - base, 0.0)
+        fracs = draw(_BANK_FRACS)
+        if not bank:
+            bank.append((inst, q, prior, [(1.0 + f) * delta_prior + FEAS_DUST
+                                          for f in (0.0, 0.5)]))
+        bank.append((inst, q, prior, [f * delta_prior for f in fracs]))
+    bank.insert(draw(st.integers(0, len(bank))),
+                bank[draw(st.integers(0, len(bank) - 1))])
+    return bank
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(bank=_prior_banks())
+def test_lockstep_bank_matches_one_world_at_a_time(bank):
+    """Each point of a bank solved in lockstep has the bits, rows included,
+    of its world solved as a bank of one and of the per-world loop with a
+    tilt of that world alone at every step."""
+    solved = _prior_grid(bank)
+    assert [len(pts) for pts in solved] == [len(b) for *_, b in bank]
+    for problem, pts in zip(bank, solved):
+        bits = [_point_bits(pt) for pt in pts]
+        assert bits == [_point_bits(pt) for pt in _prior_grid([problem])[0]]
+        assert bits == [_point_bits(pt)
+                        for pt in _prior_grid_one_world(*problem)]
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -364,7 +477,8 @@ def test_tilt_rate_matches_the_row_divergence(n_s, n_h, slope, data):
     log_prior = np.full(n_h, -np.inf)
     log_prior[supp] = np.log(prior[supp])
     d0 = dk - dk[:, supp].min(axis=1)[:, None]
-    q, kl_nats = _tilt(p, log_prior, d0, slope * LOG2)
+    q, kl_nats = (x[0] for x in _tilt(p[None], log_prior[None], d0[None],
+                                      np.array([slope * LOG2])))
     assert np.allclose(q.sum(axis=1), 1.0) and not q[:, ~supp].any()
     assert abs(kl_nats / LOG2 - _kl_bits(p, q, prior)) <= 1e-12
 
@@ -559,16 +673,32 @@ def test_illinois_steps_match_the_midpoint_search(seed, n_s, n_h, erm,
     span = float((inst.p_s @ dmat).min()) - base
     eps = frac * max(span, 0.0)
 
-    def solve_both():
-        return (solve_rd_with_prior(inst, q, eps, prior),
-                solve_rd(inst, q, eps))
+    def searched(search, solve, *args):
+        """solve(*args) with search patched in as the multiplier search,
+        and how many searches it started."""
+        starts = []
 
-    with mock.patch.object(rate_distortion, "_bisect_slope",
-                           _bisect_slope_midpoint):
-        refs = solve_both()
-        budget = frac * refs[1].rate
-        dr_ref = solve_dr(inst, q, budget)
-    got, dr = solve_both(), solve_dr(inst, q, budget)
+        def start(*search_args):
+            starts.append(search_args)
+            return search(*search_args)
+
+        with mock.patch.object(rate_distortion, "_search", start):
+            return solve(*args), len(starts)
+
+    solvers = [(solve_rd_with_prior, inst, q, eps, prior),
+               (solve_rd, inst, q, eps)]
+    refs, ref_runs = zip(*(searched(_search_midpoint, *s) for s in solvers))
+    budget = frac * refs[1].rate
+    dr_ref, dr_ref_runs = searched(_search_midpoint, solve_dr, inst, q, budget)
+    got, got_runs = zip(*(searched(_search, *s) for s in solvers))
+    dr, dr_runs = searched(_search, solve_dr, inst, q, budget)
+    # the midpoint search stood in for every search each solver ran: one
+    # wherever a solver's point is not its fast path's (rate zero, or for
+    # solve_dr the constant row at budget 0 and the least distortion at
+    # slope infinity)
+    searches = (int(got[0].iterations > 0), int(got[1].iterations > 0),
+                int(budget > 0.0 and dr.slope != math.inf))
+    assert (*ref_runs, dr_ref_runs) == (*got_runs, dr_runs) == searches
     for pt, ref in zip(got, refs):
         assert pt.distortion <= eps + FEAS_DUST
         assert pt.rate <= ref.rate + DEFAULT_RATE_TOL
@@ -585,7 +715,7 @@ def test_prior_grid_needs_few_slope_evaluations():
     gibbs-sender worlds for seed 1000 on its 9-budget grid. The midpoint
     search takes about 18 slope evaluations per positive-rate budget."""
     rng = _rng(1000)
-    evals = []
+    bank = []
     for _ in range(200):
         inst = random_instance(rng, n_concepts=int(rng.integers(2, 4)),
                                n_symbols=int(rng.integers(2, 4)),
@@ -593,9 +723,9 @@ def test_prior_grid_needs_few_slope_evaluations():
         beta = float(np.exp(rng.uniform(np.log(0.5), np.log(4.0))))
         q = fit(LearningRule.gibbs(beta), inst)
         grid = [round(inst.hypotheses.l_max * k / 8.0, 12) for k in range(9)]
-        evals += [pt.iterations for pt in _prior_grid(inst, q, q.marginal,
-                                                      grid, rate_tol=1e-8)
-                  if pt.iterations]
+        bank.append((inst, q, q.marginal, grid))
+    evals = [pt.iterations for pts in _prior_grid(bank, rate_tol=1e-8)
+             for pt in pts if pt.iterations]
     assert len(evals) >= 100
     assert np.mean(evals) <= 8.0
 

@@ -173,13 +173,17 @@ def test_bound_check_row_margin_and_ok():
 
 
 def test_verify_bound_clean_on_random_instances():
+    cases = []
     for seed in (3, 11):
         rng = np.random.default_rng(seed)
         inst = random_instance(rng, n_concepts=2, n_symbols=2,
                                n_hypotheses=2, m=1)
         q = fit(LearningRule.gibbs(1.0), inst)
         prior = Distribution(q.marginal.probs)
-        rows = verify_bound(inst, q, prior, [0.0, 0.02, 0.05, 0.1])
+        cases.append((inst, q, prior, [0.0, 0.02, 0.05, 0.1]))
+    checked = verify_bound(cases)
+    assert len(checked) == len(cases)
+    for rows in checked:
         assert len(rows) == 4
         assert all(r.ok for r in rows)
         assert len({r.r_star for r in rows}) == 1
@@ -188,27 +192,32 @@ def test_verify_bound_clean_on_random_instances():
 
 def test_verify_bound_solves_the_budget_zero_point_once(monkeypatch):
     """A grid that starts at 0 reuses the reference solve: the grid solver
-    gets each budget once."""
+    gets each world's budgets once, the whole bank in one call."""
     from beliefcomm import schemes
 
     calls = []
 
-    def counted(instance, q_sender, prior, epsilons, **kwargs):
-        calls.extend(epsilons)
-        return solve(instance, q_sender, prior, epsilons, **kwargs)
+    def counted(problems, **kwargs):
+        calls.append([list(budgets) for *_, budgets in problems])
+        return solve(problems, **kwargs)
 
     solve = schemes._prior_grid
     monkeypatch.setattr(schemes, "_prior_grid", counted)
-    inst = random_instance(np.random.default_rng(3), n_concepts=2,
-                           n_symbols=2, n_hypotheses=2, m=1)
-    q = fit(LearningRule.gibbs(1.0), inst)
+    worlds = []
+    for seed in (3, 11):
+        inst = random_instance(np.random.default_rng(seed), n_concepts=2,
+                               n_symbols=2, n_hypotheses=2, m=1)
+        worlds.append((inst, fit(LearningRule.gibbs(1.0), inst)))
     grid = [0.0, 0.02, 0.05, 0.1]
-    rows = verify_bound(inst, q, q.marginal, grid)
-    assert len(calls) == len(grid)
-    assert sorted(calls) == grid
-    # the reused point is the one a fresh budget-zero solve returns
-    assert rows[0].rate == rows[0].r_star == \
-        solve_rd_with_prior(inst, q, 0.0, q.marginal, rate_tol=1e-8).rate
+    checked = verify_bound([(inst, q, q.marginal, grid) for inst, q in worlds])
+    assert len(calls) == 1
+    assert len(calls[0]) == len(worlds)
+    for budgets, (inst, q), rows in zip(calls[0], worlds, checked):
+        assert len(budgets) == len(grid)
+        assert sorted(budgets) == grid
+        # the reused point is the one a fresh budget-zero solve returns
+        assert rows[0].rate == rows[0].r_star == \
+            solve_rd_with_prior(inst, q, 0.0, q.marginal, rate_tol=1e-8).rate
 
 
 def test_verify_bound_rows_match_one_budget_solves():
@@ -219,7 +228,8 @@ def test_verify_bound_rows_match_one_budget_solves():
     dmat, base = effective_distortion_matrix(inst, q)
     delta_prior = float(inst.p_s @ (dmat @ q.marginal.probs)) - base
     grid = [f * delta_prior for f in (0.0, 0.25, 0.5, 1.0, 1.5, 3.0)]
-    for eps, row in zip(grid, verify_bound(inst, q, q.marginal, grid)):
+    [rows] = verify_bound([(inst, q, q.marginal, grid)])
+    for eps, row in zip(grid, rows):
         pt = solve_rd_with_prior(inst, q, eps, q.marginal, rate_tol=1e-8)
         assert (row.epsilon, row.rate, row.measured) == \
             (eps, pt.rate, d_sem(q, pt.q_tilde, inst))
