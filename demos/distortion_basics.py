@@ -12,7 +12,6 @@ import numpy as np
 
 from beliefcomm import (
     LearningRule,
-    Posterior,
     d_sem_rows,
     effective_distortion_matrix,
     fit,

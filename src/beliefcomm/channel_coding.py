@@ -439,31 +439,6 @@ def induced_distribution_exact(q: Distribution, p: Distribution,
     return Distribution(out + 0.25 * k * q.probs * mass)
 
 
-@dataclass(frozen=True)
-class SingleShotBounds:
-    """Index-cost bounds for one-shot simulation at a given divergence."""
-
-    kl_bits: float
-    harsha_bits: float
-    theis_bits: float
-
-
-def single_shot_bounds(kl_bits: float) -> SingleShotBounds:
-    """Classic one-shot rate bounds as a function of the target divergence.
-
-    Lower bound is the divergence itself; the two upper forms are
-    kl + 2 log2(kl + 1) (the Harsha et al. form with its constant at 0) and
-    kl + log2(kl + 1) + 4.
-    """
-    if kl_bits < 0:
-        raise ValueError("divergence must be >= 0")
-    return SingleShotBounds(
-        kl_bits=kl_bits,
-        harsha_bits=kl_bits + 2.0 * math.log2(kl_bits + 1.0),
-        theis_bits=kl_bits + math.log2(kl_bits + 1.0) + 4.0,
-    )
-
-
 def candidate_count(kl_bits: float, slack: float = DEFAULT_SLACK,
                     cap: int = DEFAULT_CANDIDATE_CAP) -> int:
     """Default proposal count ceil(2^(kl + slack))."""
@@ -480,7 +455,6 @@ def candidate_count(kl_bits: float, slack: float = DEFAULT_SLACK,
 @dataclass(frozen=True)
 class CodedSequence:
     records: tuple[CodeRecord, ...]
-    total_bits: float
     reconstruction: np.ndarray
 
 
@@ -545,5 +519,4 @@ def code_sequence(posterior: Posterior, prior: Distribution, dataset_seq,
             batch.index.tolist(), batch.sample.tolist(),
             batch.n_candidates.tolist(), batch.fallback.tolist())
     )
-    total = sum((r.index_bits for r in records), 0.0)
-    return CodedSequence(records, total, recon.reshape(-1))
+    return CodedSequence(records, recon.reshape(-1))

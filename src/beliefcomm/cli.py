@@ -25,14 +25,7 @@ import numpy as np
 from . import __version__
 from .channel_coding import DEFAULT_BLOCK_CAP, CommonRandomness, \
     code_sequence, induced_distribution_exact, inverse_cdf_sample
-from .coordination import (
-    SequenceTrace,
-    d_avg_seq,
-    d_max_seq,
-    joint_type_from_pairs,
-    run_example_1,
-    simulate_strong,
-)
+from .coordination import d_avg_seq, d_max_seq, run_example_1, simulate_strong
 from .errors import (
     BeliefCommError,
     BoundViolationError,
@@ -339,7 +332,8 @@ def _cmd_example1(cfg, with_oracle):
         rows.append((n, res.d_avg, res.d_max, res.bits_per_symbol,
                      res.tv_max_position, 0))
         if with_oracle:
-            o_avg, o_max = sequence_distortion_oracle(res.trace, world)
+            o_avg, o_max = sequence_distortion_oracle(res.alice_rows,
+                                                      res.bob_rows, world)
             diff = max(abs(o_avg - res.d_avg), abs(o_max - res.d_max))
             oracle_rows.append(("sequence_distortion", f"n={n}", res.d_avg,
                                 o_avg, diff, diff <= 1e-12))
@@ -366,6 +360,11 @@ def _cmd_compare_schemes(cfg, with_oracle):
     if not all(isinstance(rho, (list, tuple)) and len(rho) == instance.n_datasets
                for rho in compressors):
         raise ConfigError("/compressors", "each map must label every dataset")
+    for i, rho in enumerate(compressors):
+        # a cell label is a dict key of the relabelling, so it must hash
+        if any(isinstance(x, (list, dict)) for x in rho):
+            raise ConfigError(f"/compressors/{i}",
+                              "labels must be numbers or strings")
     rows = [("|".join(str(c) for c in rep.compressor),
              rep.mi_model, rep.mi_model2, rep.mi_residual, rep.delta_r,
              rep.bound1, rep.bound2, rep.measured_distortion,
@@ -453,15 +452,10 @@ def _cmd_audit(cfg, with_oracle):
         hyp = rng.integers(0, inst.n_hypotheses, size=n)
         sched = np.zeros((n, inst.n_hypotheses))
         sched[np.arange(n), hyp] = 1.0
-        trace = SequenceTrace(
-            n=n, datasets=tuple(int(s) for s in s_seq),
-            alice_rows=q.rows[s_seq], bob_rows=sched,
-            joint_type=joint_type_from_pairs(s_seq, hyp, inst.n_datasets,
-                                             inst.n_hypotheses),
-        )
-        o_avg, o_max = sequence_distortion_oracle(trace, inst)
-        a_avg = d_avg_seq(trace.alice_rows, trace.bob_rows, inst)
-        a_max = d_max_seq(trace.alice_rows, trace.bob_rows, inst)
+        alice = q.rows[s_seq]
+        o_avg, o_max = sequence_distortion_oracle(alice, sched, inst)
+        a_avg = d_avg_seq(alice, sched, inst)
+        a_max = d_max_seq(alice, sched, inst)
         diff = max(abs(o_avg - a_avg), abs(o_max - a_max))
         rows.append(("sequence_distortion", f"case={i}", a_avg, o_avg, diff,
                      diff <= 1e-12))

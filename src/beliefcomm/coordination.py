@@ -8,11 +8,10 @@ regime every position must individually track the sender's belief, paid for
 with real index bits through the one-shot coder plus unlimited shared
 randomness.
 
-Per-position rows in a trace are dataset-independent reproduction rules, so
-their semantic distortion weighs concepts by the prior. With the sender rows
-taken at the realized datasets this makes the time-averaged distortion of a
-deterministic schedule equal, exactly, to the semantic distortion of the
-realized joint type against the sender's single-letter rule.
+Per-position rows are dataset-independent reproduction rules, so their
+semantic distortion weighs concepts by the prior (d_sem_rows); the
+time-averaged and worst-position distortions of a row sequence are one call
+each.
 """
 
 from __future__ import annotations
@@ -23,46 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel_coding import CommonRandomness, code_messages, inverse_cdf_sample
-from .errors import NormalizationError, SupportViolationError
+from .errors import SupportViolationError
 from .learning import Posterior, d_sem_rows, effective_distortion_matrix
 from .spaces import ProblemInstance, total_variation
 from .worlds import two_hypothesis_world
 
-ONE_HOT_TOL = 1e-12
 # symbols coded per batch call in simulate_strong; bounds its working set
 TRIAL_BLOCK_SYMBOLS = 2**11
-
-
-@dataclass(frozen=True)
-class SequenceTrace:
-    """One realized coordination run over n positions."""
-
-    n: int
-    datasets: tuple[int, ...]
-    alice_rows: np.ndarray
-    bob_rows: np.ndarray
-    joint_type: np.ndarray
-
-    def __post_init__(self):
-        if len(self.datasets) != self.n or self.alice_rows.shape[0] != self.n \
-                or self.bob_rows.shape[0] != self.n:
-            raise ValueError("trace arrays disagree on n")
-        total = float(self.joint_type.sum())
-        if abs(total - 1.0) > 1e-9:
-            raise NormalizationError(f"joint type sums to {total!r}")
-        scaled = self.joint_type * self.n
-        if np.max(np.abs(scaled - np.round(scaled))) > 1e-9:
-            raise NormalizationError(
-                "joint type must be an average of n point masses"
-            )
-
-
-def joint_type_from_pairs(dataset_seq, hyp_seq, n_datasets: int,
-                          n_hypotheses: int) -> np.ndarray:
-    t = np.zeros((n_datasets, n_hypotheses))
-    for s, h in zip(dataset_seq, hyp_seq):
-        t[int(s), int(h)] += 1.0
-    return t / len(dataset_seq)
 
 
 def d_avg_seq(alice_rows, bob_rows, instance: ProblemInstance) -> float:
@@ -75,53 +41,10 @@ def d_max_seq(alice_rows, bob_rows, instance: ProblemInstance) -> float:
     return float(np.max(d_sem_rows(alice_rows, bob_rows, instance)))
 
 
-def d_sem_from_joint_type(joint_type, q_alice: Posterior,
-                          instance: ProblemInstance) -> float:
-    """Semantic distortion of a realized joint type against the sender rule.
-
-    The type supplies both the dataset weights and the reproduction law;
-    the sender side is the type-weighted mixture of the sender's rows.
-    """
-    t = np.asarray(joint_type, dtype=float)
-    # the type-mixed sender row against the reproduction-side type
-    return float(d_sem_rows(t.sum(axis=1) @ q_alice.rows, t.sum(axis=0),
-                            instance))
-
-
-def _one_hot_indices(rows) -> np.ndarray:
-    r = np.asarray(rows, dtype=float)
-    idx = np.argmax(r, axis=1)
-    if np.any(np.abs(r[np.arange(len(r)), idx] - 1.0) > ONE_HOT_TOL):
-        raise ValueError("schedule rows must be deterministic (one-hot)")
-    return idx
-
-
-def simulate_empirical_deterministic(instance: ProblemInstance, q_alice: Posterior,
-                                     schedule_rows, seed: int = 0) -> SequenceTrace:
-    """Run a zero-bit deterministic receiver schedule against sampled data.
-
-    The schedule fixes the receiver's hypothesis at each position outright;
-    only the sender's datasets are random. No index bits, no shared
-    randomness.
-    """
-    sched = np.asarray(schedule_rows, dtype=float)
-    hyp_idx = _one_hot_indices(sched)
-    n = len(sched)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    s_seq = inverse_cdf_sample(instance.p_s, rng.random(n))
-    return SequenceTrace(
-        n=n,
-        datasets=tuple(int(s) for s in s_seq),
-        alice_rows=q_alice.rows[s_seq],
-        bob_rows=sched,
-        joint_type=joint_type_from_pairs(s_seq, hyp_idx, instance.n_datasets,
-                                         instance.n_hypotheses),
-    )
-
-
 @dataclass(frozen=True)
 class Example1Result:
-    trace: SequenceTrace
+    alice_rows: np.ndarray
+    bob_rows: np.ndarray
     d_avg: float
     d_max: float
     bits_per_symbol: float
@@ -136,30 +59,25 @@ def alternating_schedule(n: int) -> np.ndarray:
     return rows
 
 
-def run_example_1(n: int, seed: int = 0) -> Example1Result:
+def run_example_1(n: int) -> Example1Result:
     """The canonical empirical-coordination walkthrough.
 
     Sender posts the uniform belief over {h0, h1} whatever the data; the
     receiver alternates deterministically between the two hypotheses. The
     time-average distortion is 0 for even n and 1/(2n) for odd n while the
-    worst position always sits at 1/2.
+    worst position always sits at 1/2. The sender ignores the data: no draws.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     instance = two_hypothesis_world()
-    q_alice = Posterior.from_rows(
-        np.full((instance.n_datasets, 2), 0.5), instance
-    )
-    trace = simulate_empirical_deterministic(
-        instance, q_alice, alternating_schedule(n), seed=seed
-    )
-    davg = d_avg_seq(trace.alice_rows, trace.bob_rows, instance)
-    dmax = d_max_seq(trace.alice_rows, trace.bob_rows, instance)
-    tvmax = max(
-        total_variation(trace.bob_rows[i], trace.alice_rows[i]) for i in range(n)
-    )
-    return Example1Result(trace=trace, d_avg=davg, d_max=dmax,
-                          bits_per_symbol=0.0, tv_max_position=tvmax)
+    alice = np.full((n, 2), 0.5)
+    bob = alternating_schedule(n)
+    davg = d_avg_seq(alice, bob, instance)
+    dmax = d_max_seq(alice, bob, instance)
+    tvmax = max(total_variation(bob[i], alice[i]) for i in range(n))
+    return Example1Result(alice_rows=alice, bob_rows=bob, d_avg=davg,
+                          d_max=dmax, bits_per_symbol=0.0,
+                          tv_max_position=tvmax)
 
 
 @dataclass(frozen=True)

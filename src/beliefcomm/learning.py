@@ -87,22 +87,6 @@ class LearningRule:
         raise ConfigError("/rule/rule", f"unknown rule {kind!r}")
 
 
-def empirical_loss(belief, dataset, concept: int,
-                   instance: ProblemInstance) -> float:
-    """Average per-sample loss of a belief on one dataset under one concept;
-    dataset is a row of instance.datasets, or any sequence of sample indices."""
-    b = np.asarray(belief.probs if isinstance(belief, Distribution) else belief, dtype=float)
-    loss = instance.hypotheses.loss[concept]  # (h, z)
-    cols = loss[:, list(dataset)]  # (h, m)
-    return float(b @ cols.mean(axis=1))
-
-
-def true_loss(belief, concept: int, instance: ProblemInstance) -> float:
-    """Population risk of a belief under one concept."""
-    b = np.asarray(belief.probs if isinstance(belief, Distribution) else belief, dtype=float)
-    return float(b @ instance.true_loss_table[concept])
-
-
 def dataset_scores(instance: ProblemInstance) -> np.ndarray:
     """scores[s, h]: posterior-averaged empirical loss of pure h on dataset s.
 

@@ -189,23 +189,30 @@ def mrc_enumeration_oracle(q: Distribution, p: Distribution, n_candidates: int,
     return Distribution(out)
 
 
-def sequence_distortion_oracle(trace, instance: ProblemInstance) -> tuple[float, float]:
+def sequence_distortion_oracle(alice_rows, bob_rows,
+                               instance: ProblemInstance) -> tuple[float, float]:
     """(average, worst) per-position distortion from raw loss sums.
 
-    Scalar loops over concepts, hypotheses, and samples; no effective
-    matrices, no shortcuts shared with the checked code.
+    alice_rows and bob_rows are the (n, |H|) row stacks of the two ends;
+    stacks of different shapes are refused. Scalar loops over concepts,
+    hypotheses, and samples; no effective matrices, no shortcuts shared with
+    the checked code.
     """
+    alice = np.asarray(alice_rows, dtype=float)
+    bob = np.asarray(bob_rows, dtype=float)
+    if alice.shape != bob.shape:
+        raise ValueError(f"row stacks disagree: {alice.shape} vs {bob.shape}")
     law = instance.concepts.data_law
     loss = instance.hypotheses.loss
     prior = instance.concepts.prior.probs
     vals = []
-    for i in range(trace.n):
+    for i in range(len(alice)):
         v = 0.0
         for c in range(instance.concepts.n_concepts):
             for h in range(instance.n_hypotheses):
                 risk = 0.0
                 for z in range(instance.concepts.n_symbols):
                     risk += law[c, z] * loss[c, h, z]
-                v += prior[c] * (trace.bob_rows[i, h] - trace.alice_rows[i, h]) * risk
+                v += prior[c] * (bob[i, h] - alice[i, h]) * risk
         vals.append(v)
     return float(np.mean(vals)), float(np.max(vals))

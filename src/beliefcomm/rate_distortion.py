@@ -105,22 +105,6 @@ class RDCurve:
         return [p.rate for p in self.points]
 
 
-def kl_rate(q_tilde: Posterior, prior: Distribution, instance: ProblemInstance) -> float:
-    """Expected per-dataset coding divergence E_S[D(q(.|s) || prior)], bits.
-
-    Datasets with zero marginal mass are ignored; a positive-mass row leaking
-    outside the prior's support is the infinite-rate case and raises.
-    """
-    keep = instance.p_s > 0
-    prior_p = prior.probs
-    for s in np.flatnonzero(keep):
-        if np.any((q_tilde.rows[s] > 0) & (prior_p == 0)):
-            raise SupportViolationError(
-                f"kl_rate is infinite: dataset {s} puts mass outside the prior support"
-            )
-    return _kl_bits(instance.p_s[keep], q_tilde.rows[keep], prior_p)
-
-
 def _kl_bits(p: np.ndarray, q: np.ndarray, ref: np.ndarray) -> float:
     """E_S D(q(.|s) || ref) in bits over weights p.
 

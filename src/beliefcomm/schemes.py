@@ -118,18 +118,6 @@ def enumerate_compressors(n_datasets: int):
     yield from grow([0], 1)
 
 
-def refit_on_compressed(instance: ProblemInstance, rule: LearningRule,
-                        rho) -> np.ndarray:
-    """Rows over compressed cells from rerunning the rule on merged data.
-
-    The per-dataset ranking scores aggregate with in-cell weights P(s|cell),
-    which is exactly what the rule sees when only the cell is observed.
-    Lookup-table rules have no induced rule on merged cells and are refused.
-    """
-    return _refit(instance, rule, canonical_partition(rho),
-                  dataset_scores(instance))
-
-
 def _refit(instance, rule, labels, scores) -> np.ndarray:
     if rule.kind == "map_table":
         raise ValueError("map_table rules cannot be refit on compressed data")

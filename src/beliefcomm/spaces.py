@@ -5,12 +5,13 @@ Everything downstream works over three coupled finite alphabets: concepts
 (models a learner can output). This module owns the immutable containers
 for those alphabets plus total variation, KL divergence, and mutual
 information, all in bits. It also holds the package's one log-sum-exp over
-rows (_logsumexp_rows), which the closed-form solver and the gibbs learner
-share, and its one validator of probability rows (_clean_rows), which every
-posterior and data law goes through, and its one relative-entropy kernel
-(_rel_entr), which kl_divergence and the solvers' rates go through. (The
-Blahut-Arimoto loop in rate_distortion keeps its own max-shifted
-reductions: their bits differ.) The package needs numpy alone at run time.
+rows (_logsumexp_rows), which the closed-form solver, solve_dr's constant-row
+test and the gibbs learner share, its one validator of probability rows
+(_clean_rows), which every posterior and data law goes through, and its one
+relative-entropy kernel (_rel_entr), which kl_divergence and the solvers'
+rates go through. (The Blahut-Arimoto loop in rate_distortion keeps its own
+max-shifted reductions: their bits differ.) The package needs numpy alone at
+run time.
 """
 
 from __future__ import annotations
@@ -208,14 +209,6 @@ def mutual_information(joint) -> float:
     mask = j > 0
     val = float(np.sum(j[mask] * (np.log(j[mask]) - np.log(outer[mask]))))
     return max(val / LOG2, 0.0)
-
-
-def entropy_bits(p) -> float:
-    """Shannon entropy in bits (0 log 0 = 0)."""
-    pa = _as_probs(p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(pa == 0, 0.0, pa * np.log(pa))
-    return -float(terms.sum()) / LOG2
 
 
 @dataclass(frozen=True)

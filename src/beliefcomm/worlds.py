@@ -61,10 +61,3 @@ def random_instance(
     )
     return ProblemInstance(concepts, hyps, m)
 
-
-def random_rows(rng: np.random.Generator, n_rows: int, n_cols: int,
-                concentration: float = 1.0) -> np.ndarray:
-    """A stack of Dirichlet rows, one belief per dataset."""
-    return np.stack(
-        [rng.dirichlet(np.full(n_cols, concentration)) for _ in range(n_rows)]
-    )

@@ -1,4 +1,5 @@
-"""Shared helpers: seeded generators and senders worth compressing.
+"""Shared helpers: seeded generators, senders worth compressing, and the
+reference paths the tests check the library against.
 
 Hypothesis also draws, now and then, from the literals of every local
 non-test module in sys.modules, so the examples a derandomized property
@@ -12,16 +13,24 @@ import importlib
 import os
 import pkgutil
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 import beliefcomm
 from beliefcomm import (
+    Distribution,
     LearningRule,
+    Posterior,
+    ProblemInstance,
+    d_sem_rows,
     effective_distortion_matrix,
     fit,
     random_instance,
 )
+from beliefcomm.channel_coding import inverse_cdf_sample
+from beliefcomm.errors import SupportViolationError
+from beliefcomm.rate_distortion import _kl_bits
 
 for _module in pkgutil.iter_modules(beliefcomm.__path__):
     importlib.import_module(f"beliefcomm.{_module.name}")
@@ -58,3 +67,91 @@ def sharp_sender(seed, n_symbols=2, n_hypotheses=2, min_span=0.02,
         if span > min_span:
             return inst, q, span
     raise RuntimeError("no positive-span draw; widen the search")
+
+
+def random_rows(rng: np.random.Generator, n_rows: int, n_cols: int,
+                concentration: float = 1.0) -> np.ndarray:
+    """A stack of Dirichlet rows, one belief per dataset."""
+    return np.stack(
+        [rng.dirichlet(np.full(n_cols, concentration)) for _ in range(n_rows)]
+    )
+
+
+def kl_rate(q_tilde: Posterior, prior: Distribution, instance: ProblemInstance) -> float:
+    """Expected per-dataset coding divergence E_S[D(q(.|s) || prior)], bits.
+
+    Datasets with zero marginal mass are ignored; a positive-mass row leaking
+    outside the prior's support is the infinite-rate case and raises.
+    """
+    keep = instance.p_s > 0
+    prior_p = prior.probs
+    for s in np.flatnonzero(keep):
+        if np.any((q_tilde.rows[s] > 0) & (prior_p == 0)):
+            raise SupportViolationError(
+                f"kl_rate is infinite: dataset {s} puts mass outside the prior support"
+            )
+    return _kl_bits(instance.p_s[keep], q_tilde.rows[keep], prior_p)
+
+
+# empirical coordination: a zero-bit deterministic schedule and the joint
+# type of the (dataset, hypothesis) pairs it realizes
+
+ONE_HOT_TOL = 1e-12
+
+
+class EmpiricalTrace(NamedTuple):
+    """One realized run: the two ends' rows and the joint type."""
+
+    alice_rows: np.ndarray
+    bob_rows: np.ndarray
+    joint_type: np.ndarray
+
+
+def joint_type_from_pairs(dataset_seq, hyp_seq, n_datasets: int,
+                          n_hypotheses: int) -> np.ndarray:
+    t = np.zeros((n_datasets, n_hypotheses))
+    for s, h in zip(dataset_seq, hyp_seq):
+        t[int(s), int(h)] += 1.0
+    return t / len(dataset_seq)
+
+
+def d_sem_from_joint_type(joint_type, q_alice: Posterior,
+                          instance: ProblemInstance) -> float:
+    """Semantic distortion of a realized joint type against the sender rule.
+
+    The type supplies both the dataset weights and the reproduction law;
+    the sender side is the type-weighted mixture of the sender's rows.
+    """
+    t = np.asarray(joint_type, dtype=float)
+    # the type-mixed sender row against the reproduction-side type
+    return float(d_sem_rows(t.sum(axis=1) @ q_alice.rows, t.sum(axis=0),
+                            instance))
+
+
+def _one_hot_indices(rows) -> np.ndarray:
+    r = np.asarray(rows, dtype=float)
+    idx = np.argmax(r, axis=1)
+    if np.any(np.abs(r[np.arange(len(r)), idx] - 1.0) > ONE_HOT_TOL):
+        raise ValueError("schedule rows must be deterministic (one-hot)")
+    return idx
+
+
+def simulate_empirical_deterministic(instance: ProblemInstance, q_alice: Posterior,
+                                     schedule_rows, seed: int = 0) -> EmpiricalTrace:
+    """Run a zero-bit deterministic receiver schedule against sampled data.
+
+    The schedule fixes the receiver's hypothesis at each position outright;
+    only the sender's datasets are random. No index bits, no shared
+    randomness.
+    """
+    sched = np.asarray(schedule_rows, dtype=float)
+    hyp_idx = _one_hot_indices(sched)
+    n = len(sched)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    s_seq = inverse_cdf_sample(instance.p_s, rng.random(n))
+    return EmpiricalTrace(
+        alice_rows=q_alice.rows[s_seq],
+        bob_rows=sched,
+        joint_type=joint_type_from_pairs(s_seq, hyp_idx, instance.n_datasets,
+                                         instance.n_hypotheses),
+    )

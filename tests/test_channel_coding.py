@@ -21,7 +21,6 @@ from beliefcomm import (
     induced_distribution_exact,
     kl_divergence,
     mrc_enumeration_oracle,
-    single_shot_bounds,
     total_variation,
     two_hypothesis_world,
 )
@@ -221,15 +220,6 @@ def test_encoder_flags_fallback_on_dead_candidates():
     assert not all(flags)
 
 
-def test_single_shot_bounds_hand_values():
-    b = single_shot_bounds(3.0)
-    assert (b.kl_bits, b.harsha_bits, b.theis_bits) == (3.0, 7.0, 9.0)
-    b7 = single_shot_bounds(7.0)
-    assert (b7.kl_bits, b7.harsha_bits, b7.theis_bits) == (7.0, 13.0, 14.0)
-    with pytest.raises(ValueError):
-        single_shot_bounds(-0.1)
-
-
 def test_candidate_count_values_and_cap():
     assert candidate_count(0.0, slack=0.0) == 1
     assert candidate_count(0.0, slack=-3.0) == 1
@@ -250,9 +240,8 @@ def test_code_sequence_per_symbol_accounting():
     coded = code_sequence(post, prior, seq, cr, slack=3.0)
     assert len(coded.records) == len(seq)
     assert len(coded.reconstruction) == len(seq)
-    assert coded.total_bits == pytest.approx(
-        sum(r.index_bits for r in coded.records)
-    )
+    for rec in coded.records:
+        assert rec.index_bits == pytest.approx(math.log2(rec.n_candidates))
     for i, rec in enumerate(coded.records):
         kl = kl_divergence(Distribution(post.rows[seq[i]]), prior)
         assert rec.n_candidates == candidate_count(kl, slack=3.0)
@@ -269,7 +258,7 @@ def test_block_of_one_matches_per_symbol_coding():
     b = code_sequence(post, prior, [1], CommonRandomness(11),
                       mode="block", slack=3.0, trial=5)
     assert a.records[0].index == b.records[0].index
-    assert a.total_bits == b.total_bits
+    assert a.records[0].index_bits == b.records[0].index_bits
     np.testing.assert_array_equal(a.reconstruction, b.reconstruction)
 
 
@@ -283,7 +272,7 @@ def test_block_mode_bits_and_cap():
     coded = code_sequence(post, prior, seq, CommonRandomness(9),
                           mode="block", slack=2.0)
     assert len(coded.records) == 1
-    assert coded.total_bits == pytest.approx(math.log2(expect_k))
+    assert coded.records[0].index_bits == pytest.approx(math.log2(expect_k))
     assert coded.reconstruction.shape == (3,)
     # the block cap is 2^16 candidates, so 16 bits of slack reach it
     with pytest.raises(EnumerationCapError, match="exceeds cap 65536"):

@@ -307,6 +307,8 @@ def world3_file(tmp_path):
     (["coordinate", "--n", "0"], None, "n"),
     (["compare-schemes"], {"rate_budget": "x"}, "rate_budget"),
     (["compare-schemes"], {"compressors": 5}, "compressors"),
+    (["compare-schemes"], {"compressors": [[0, 0, 1], [[0], [1], {"a": 0}]]},
+     "compressors/1"),
     (["coordinate", "--slack", "nan"], None, "slack"),
     (["code"], {"n": True}, "n"),
     (["code"], {"slack": True}, "slack"),
@@ -318,6 +320,7 @@ def world3_file(tmp_path):
 ], ids=["code-n-abc", "code-n-neg", "code-n-0", "example1-n_list-5",
         "example1-n-1", "coordinate-trials-0", "coordinate-n-0",
         "compare-rate_budget-x", "compare-compressors-5",
+        "compare-compressors-list-label",
         "coordinate-slack-nan", "code-n-true", "code-slack-true",
         "coordinate-trials-true", "verify-instances-true",
         "compare-rate_budget-false", "rd-curve-epsilons-bools",

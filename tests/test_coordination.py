@@ -8,58 +8,32 @@ from beliefcomm import (
     Distribution,
     LearningRule,
     Posterior,
-    SequenceTrace,
     alternating_schedule,
     code_sequence,
     d_avg_seq,
     d_max_seq,
     d_sem,
-    d_sem_from_joint_type,
     fit,
-    joint_type_from_pairs,
     random_instance,
     run_example_1,
     sequence_distortion_oracle,
-    simulate_empirical_deterministic,
     simulate_strong,
     total_variation,
     two_hypothesis_world,
 )
 from beliefcomm.channel_coding import inverse_cdf_sample
 from beliefcomm.coordination import TRIAL_BLOCK_SYMBOLS
-from beliefcomm.errors import NormalizationError, SupportViolationError
-
-
-def _trace(inst, n=4):
-    rows = np.full((n, inst.n_hypotheses), 1.0 / inst.n_hypotheses)
-    jt = joint_type_from_pairs([0] * n, [0] * n, inst.n_datasets,
-                               inst.n_hypotheses)
-    return dict(n=n, datasets=(0,) * n, alice_rows=rows, bob_rows=rows,
-                joint_type=jt)
+from beliefcomm.errors import SupportViolationError
+from conftest import (d_sem_from_joint_type, joint_type_from_pairs,
+                      simulate_empirical_deterministic)
 
 
 def test_trace_rejects_length_mismatch():
+    """The sequence oracle refuses row stacks of different lengths."""
     inst = two_hypothesis_world()
-    kw = _trace(inst)
-    kw["datasets"] = (0, 0)
+    rows = np.full((4, inst.n_hypotheses), 1.0 / inst.n_hypotheses)
     with pytest.raises(ValueError):
-        SequenceTrace(**kw)
-
-
-def test_trace_joint_type_must_be_a_type():
-    """n times the joint type has to be an integer count table."""
-    inst = two_hypothesis_world()
-    kw = _trace(inst)
-    bad = kw["joint_type"].copy()
-    bad[0, 0] -= 0.1
-    bad[0, 1] += 0.1  # still sums to one, but 4*0.1 is not an integer count
-    kw["joint_type"] = bad
-    with pytest.raises(NormalizationError):
-        SequenceTrace(**kw)
-    kw2 = _trace(inst)
-    kw2["joint_type"] = kw2["joint_type"] * 0.9
-    with pytest.raises(NormalizationError):
-        SequenceTrace(**kw2)
+        sequence_distortion_oracle(rows, rows[:2], inst)
 
 
 def test_joint_type_from_pairs_counts():
@@ -84,12 +58,6 @@ def test_example_1_exact_values():
         assert res.tv_max_position == 0.5
     with pytest.raises(ValueError):
         run_example_1(1)
-
-
-def test_example_1_trace_is_seed_reproducible():
-    a = run_example_1(7, seed=13)
-    b = run_example_1(7, seed=13)
-    assert a.trace.datasets == b.trace.datasets
 
 
 def test_constant_schedule_sits_below_baseline():
@@ -138,7 +106,7 @@ def test_sequence_oracle_agrees_with_fast_path():
     sched = np.zeros((8, 3))
     sched[np.arange(8), rng.integers(0, 3, 8)] = 1.0
     tr = simulate_empirical_deterministic(inst, q, sched, seed=9)
-    oa, om = sequence_distortion_oracle(tr, inst)
+    oa, om = sequence_distortion_oracle(tr.alice_rows, tr.bob_rows, inst)
     assert abs(oa - d_avg_seq(tr.alice_rows, tr.bob_rows, inst)) < 1e-12
     assert abs(om - d_max_seq(tr.alice_rows, tr.bob_rows, inst)) < 1e-12
 
@@ -176,7 +144,7 @@ def _strong_by_trial_loop(inst, q, n, seed, trials, slack):
     for t in range(trials):
         s_seq = inverse_cdf_sample(inst.p_s, cr.data_stream(t).random(n))
         coded = code_sequence(q, prior, s_seq, cr, slack=slack, trial=t)
-        bits += coded.total_bits
+        bits += sum((r.index_bits for r in coded.records), 0.0)
         for i in range(n):
             counts[i, s_seq[i], coded.reconstruction[i]] += 1.0
     dmat = inst.posterior @ inst.true_loss_table

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beliefcomm import (
-    Distribution,
     LearningRule,
     Posterior,
     d_sem,
@@ -14,11 +13,11 @@ from beliefcomm import (
     effective_distortion_matrix,
     fit,
     random_instance,
-    random_rows,
     two_hypothesis_world,
 )
 from beliefcomm.errors import ConfigError, NormalizationError
-from beliefcomm.learning import dataset_scores, empirical_loss, true_loss
+from beliefcomm.learning import dataset_scores
+from conftest import random_rows
 
 
 def _rng(seed):
@@ -84,16 +83,6 @@ def test_rule_json_errors():
         LearningRule.from_json({"rule": "nope"})
     with pytest.raises(ConfigError):
         LearningRule.from_json({"rule": "gibbs", "beta": -1.0})
-
-
-def test_empirical_vs_true_loss_single_draw():
-    w = two_hypothesis_world()
-    # point belief on h1 loses 1 on every sample; on h0 it never loses
-    h0 = Distribution.point_mass(0, 2)
-    h1 = Distribution.point_mass(1, 2)
-    assert empirical_loss(h1, (0,), 0, w) == 1.0
-    assert empirical_loss(h0, (0,), 0, w) == 0.0
-    assert true_loss(h1, 0, w) == 1.0
 
 
 def test_posterior_marginal_matches_mixture():

@@ -245,6 +245,7 @@ def test_mrc_oracle_caps_its_recursion_depth_on_one_hypothesis():
 
 def test_sequence_oracle_on_the_walkthrough_trace():
     res = run_example_1(4)
-    avg, worst = sequence_distortion_oracle(res.trace, two_hypothesis_world())
+    avg, worst = sequence_distortion_oracle(res.alice_rows, res.bob_rows,
+                                            two_hypothesis_world())
     assert abs(avg - 0.0) < 1e-12
     assert abs(worst - 0.5) < 1e-12

@@ -19,7 +19,6 @@ from beliefcomm import (
     RDPoint,
     effective_distortion_matrix,
     fit,
-    kl_rate,
     mutual_information,
     problem_instance_from_json,
     problem_instance_to_json,
@@ -56,7 +55,7 @@ from beliefcomm.rate_distortion import (
     _tilt,
 )
 from beliefcomm.spaces import _logsumexp_rows, _rel_entr
-from conftest import philox_rng as _rng, sharp_sender as _sharp_sender
+from conftest import kl_rate, philox_rng as _rng, sharp_sender as _sharp_sender
 
 
 def test_kl_rate_with_own_marginal_is_mutual_information():

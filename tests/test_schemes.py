@@ -16,12 +16,13 @@ from beliefcomm import (
     enumerate_compressors,
     fit,
     random_instance,
-    refit_on_compressed,
     solve_rd_with_prior,
     verify_bound,
 )
 from beliefcomm.errors import InvariantViolationError
-from beliefcomm.schemes import BoundCheckRow, SchemeReport, canonical_partition
+from beliefcomm.learning import dataset_scores
+from beliefcomm.schemes import (BoundCheckRow, SchemeReport, _refit,
+                                canonical_partition)
 from conftest import sharp_sender
 
 LOG2 = math.log(2.0)
@@ -82,7 +83,8 @@ def test_refit_on_identity_compressor_reproduces_fit():
     rng = np.random.default_rng(11)
     inst = random_instance(rng, n_concepts=2, n_symbols=2, n_hypotheses=3, m=1)
     for rule in (LearningRule.gibbs(1.3), LearningRule.erm()):
-        rows = refit_on_compressed(inst, rule, tuple(range(inst.n_datasets)))
+        rows = _refit(inst, rule, tuple(range(inst.n_datasets)),
+                      dataset_scores(inst))
         np.testing.assert_array_equal(rows, fit(rule, inst).rows)
 
 
@@ -90,15 +92,16 @@ def test_refit_rows_are_distributions_and_merge_shrinks():
     rng = np.random.default_rng(4)
     inst = random_instance(rng, n_concepts=2, n_symbols=2, n_hypotheses=2, m=2)
     assert inst.n_datasets == 4
-    rows = refit_on_compressed(inst, LearningRule.gibbs(2.0), (0, 0, 1, 1))
+    scores = dataset_scores(inst)
+    rows = _refit(inst, LearningRule.gibbs(2.0), (0, 0, 1, 1), scores)
     assert rows.shape == (2, inst.n_hypotheses)
     np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
     with pytest.raises(ValueError):
-        refit_on_compressed(inst, LearningRule.gibbs(2.0), (0, 0, 1))
+        _refit(inst, LearningRule.gibbs(2.0), (0, 0, 1), scores)
     with pytest.raises(ValueError):
-        refit_on_compressed(
+        _refit(
             inst, LearningRule.map_table(np.full((inst.n_datasets, 2), 0.5)),
-            (0, 0, 1, 1),
+            (0, 0, 1, 1), scores,
         )
 
 

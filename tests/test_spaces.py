@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import math
 import re
 import warnings
 from pathlib import Path
@@ -12,11 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy.special import logsumexp, rel_entr, xlogy
+from scipy.special import logsumexp, rel_entr
 
 from beliefcomm import (
     Distribution,
-    entropy_bits,
     kl_divergence,
     mutual_information,
     total_variation,
@@ -86,11 +84,6 @@ def test_kl_hand_value():
 def test_kl_support_violation_raises():
     with pytest.raises(SupportViolationError):
         kl_divergence([0.5, 0.5], [1.0, 0.0])
-
-
-def test_entropy_edge_cases():
-    assert entropy_bits([0.5, 0.5]) == 1.0
-    assert entropy_bits([1.0, 0.0]) == 0.0
 
 
 def test_mutual_information_product_is_zero():
@@ -251,14 +244,6 @@ def test_rel_entr_matches_scipy_within_2_ulp(x, data):
         got, got_near = _rel_entr(x, y), _rel_entr(x, x * near)
     _assert_within_ulps(got, rel_entr(x, y), 2)
     _assert_within_ulps(got_near, rel_entr(x, x * near), 2)
-
-
-@_SETTINGS
-@given(v=_NONNEG)
-def test_entropy_bits_term_matches_xlogy_within_2_ulp(v):
-    """One entry's term, 0 log 0 = 0 included, against scipy's xlogy."""
-    _assert_within_ulps(entropy_bits(np.array([v])),
-                        -float(xlogy(v, v)) / math.log(2.0), 2)
 
 
 def _rows_one_by_one(values, what):
