@@ -75,12 +75,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
+# cells csv.writer writes as _fmt would: str() of a float is its repr
+_NATIVE = (str, int, float)
+
+
 def _write_csv(path: Path, header, rows):
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(x) for x in row])
+        # an exact type test: bool subclasses int and np.float64 float, and
+        # _fmt writes both its own way
+        w.writerows([x if type(x) in _NATIVE else _fmt(x) for x in row]
+                    for row in rows)
 
 
 def _write_manifest(outdir: Path, command: str, cfg: dict):
@@ -361,8 +367,9 @@ def _cmd_compare_schemes(cfg, with_oracle):
                for rho in compressors):
         raise ConfigError("/compressors", "each map must label every dataset")
     for i, rho in enumerate(compressors):
-        # a cell label is a dict key of the relabelling, so it must hash
-        if any(isinstance(x, (list, dict)) for x in rho):
+        # a cell label is a dict key of the relabelling, so it must hash, and
+        # true would share a key with 1
+        if any(isinstance(x, (list, dict, bool)) for x in rho):
             raise ConfigError(f"/compressors/{i}",
                               "labels must be numbers or strings")
     rows = [("|".join(str(c) for c in rep.compressor),
@@ -391,8 +398,13 @@ def _cmd_verify_bound(cfg, with_oracle):
                                n_hypotheses=int(rng.integers(2, 4)), m=1)
         beta = float(np.exp(rng.uniform(np.log(0.5), np.log(4.0))))
         cases.append((f"random-{i}", inst, fit(LearningRule.gibbs(beta), inst)))
+    grids = {}  # the default grid scales with l_max
+    for _, inst, _ in cases:
+        l_max = inst.hypotheses.l_max
+        if l_max not in grids:
+            grids[l_max] = _epsilon_grid(cfg, l_max)
     bank = [(inst, q_alice, _get_prior(cfg, q_alice, inst.n_hypotheses),
-             _epsilon_grid(cfg, inst.hypotheses.l_max))
+             grids[inst.hypotheses.l_max])
             for _, inst, q_alice in cases]
     try:
         checked = verify_bound(bank)

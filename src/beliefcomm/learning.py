@@ -93,10 +93,11 @@ def dataset_scores(instance: ProblemInstance) -> np.ndarray:
     This is the quantity both gibbs and erm rank hypotheses by.
     """
     n_s, n_h = instance.n_datasets, instance.n_hypotheses
-    # emp[c, s, h] = mean_j loss[c, h, z_j]
-    emp = instance.hypotheses.loss[:, :, instance.datasets].mean(axis=3)  # (c, h, s)
-    emp = np.moveaxis(emp, 2, 1)  # (c, s, h)
-    scores = np.einsum("sc,csh->sh", instance.posterior, emp)
+    # emp[c, h, s] = mean_j loss[c, h, z_j], summed and divided by m as
+    # mean(axis=3) computes it
+    emp = instance.hypotheses.loss[:, :, instance.datasets].sum(axis=3) \
+        / instance.m
+    scores = np.einsum("sc,chs->sh", instance.posterior, emp)
     assert scores.shape == (n_s, n_h)
     return scores
 

@@ -27,7 +27,6 @@ are in bits; slopes are bits per unit distortion.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -109,9 +108,10 @@ def _kl_bits(p: np.ndarray, q: np.ndarray, ref: np.ndarray) -> float:
     """E_S D(q(.|s) || ref) in bits over weights p.
 
     The weighted row divergences are added left to right, as a loop over the
-    rows would add them.
+    rows would add them; + 0.0 reads an all -0.0 sum as Python's sum does.
     """
-    return float(sum(p * _rel_entr(q, ref).sum(axis=1))) / LOG2
+    return (float((p * _rel_entr(q, ref).sum(axis=1)).cumsum()[-1]) + 0.0) \
+        / LOG2
 
 
 def _ba_lagrangian(p, dmat, sigma, tol_gap_nats):
@@ -176,7 +176,7 @@ def _setup(instance, q_sender):
 def _point(instance, epsilon, q, ref_row, rate, distortion, slope, iters,
            gap) -> RDPoint:
     """An RDPoint whose zero-mass datasets get ref_row."""
-    rows = np.tile(ref_row, (instance.n_datasets, 1))
+    rows = np.repeat(ref_row[None, :], instance.n_datasets, axis=0)
     rows[instance.p_s > 0] = q
     return RDPoint(
         epsilon=epsilon, rate=max(rate, 0.0), distortion=distortion,
@@ -185,12 +185,18 @@ def _point(instance, epsilon, q, ref_row, rate, distortion, slope, iters,
     )
 
 
-def _constant_point(instance, epsilon, row, delta) -> RDPoint:
-    """The rate-zero answer: every dataset gets the same row."""
+def _constant_rows(instance, row) -> Posterior:
+    """Every dataset gets the same row."""
+    return Posterior.from_rows(
+        np.repeat(row[None, :], instance.n_datasets, axis=0), instance)
+
+
+def _constant_point(epsilon, q_tilde, delta) -> RDPoint:
+    """The rate-zero answer around constant rows q_tilde of distortion
+    delta."""
     return RDPoint(
         epsilon=epsilon, rate=0.0, distortion=min(delta, epsilon), slope=0.0,
-        q_tilde=Posterior.from_rows(np.tile(row, (instance.n_datasets, 1)), instance),
-        iterations=0, duality_gap=0.0,
+        q_tilde=q_tilde, iterations=0, duality_gap=0.0,
     )
 
 
@@ -335,7 +341,7 @@ def solve_rd(instance: ProblemInstance, q_sender: Posterior, epsilon: float,
     # Rate-zero fast path: best constant row.
     row, delta0 = _best_constant(p, dk, baseline)
     if delta0 <= epsilon + FEAS_DUST:
-        return _constant_point(instance, epsilon, row, delta0)
+        return _constant_point(epsilon, _constant_rows(instance, row), delta0)
 
     gap_tol_nats = 0.25 * rate_tol * LOG2
 
@@ -383,8 +389,8 @@ def solve_dr(instance: ProblemInstance, q_sender: Posterior,
     if rate_budget == 0.0:
         # I(S;H) = 0 forces one row on every dataset, so the best constant
         # row is the exact answer
-        return _constant_point(instance, delta0, row, delta0)
-    const, d_const = np.tile(row, (len(p), 1)), dk @ row
+        return _constant_point(delta0, _constant_rows(instance, row), delta0)
+    const, d_const = np.repeat(row[None, :], len(p), axis=0), dk @ row
 
     def run(mu):
         # Blahut's optimality condition at the constant row: no hypothesis
@@ -504,7 +510,7 @@ def _prior_grid(problems, rate_tol=DEFAULT_RATE_TOL) -> list[list[RDPoint]]:
         log_prior = np.full_like(prior_p, -np.inf)
         log_prior[supp] = np.log(prior_p[supp])
         d0 = dk - d_min[:, None]
-        const = None
+        q_const = None
         pts = []
         for epsilon in map(float, epsilons):
             _check_budget(epsilon)
@@ -514,12 +520,9 @@ def _prior_grid(problems, rate_tol=DEFAULT_RATE_TOL) -> list[list[RDPoint]]:
                     f"(best achievable {d_inf}); the rate is infinite"
                 )
             if delta_prior <= epsilon + FEAS_DUST:
-                if const is None:
-                    const = _constant_point(instance, epsilon, prior_p,
-                                            delta_prior)
-                pts.append(dataclasses.replace(
-                    const, epsilon=epsilon,
-                    distortion=min(delta_prior, epsilon)))
+                if q_const is None:
+                    q_const = _constant_rows(instance, prior_p)
+                pts.append(_constant_point(epsilon, q_const, delta_prior))
                 continue
             slots, searches, rows = banks.setdefault(dk.shape, ([], [], []))
             slots.append((pts, len(pts)))

@@ -233,14 +233,15 @@ def verify_bound(cases) -> list[list[BoundCheckRow]]:
         points = dict(zip(b, pts))
         r_star = points[0.0].rate
         rows = []
-        q_measured = measured = None
+        q_measured = rate = None
         for eps in grid:
             point = points[eps]
-            delta_r = max(r_star - point.rate, 0.0)
-            bound = distortion_rate_bound(delta_r, instance.hypotheses.l_max)
-            # budgets the prior row meets share one point
-            if point.q_tilde is not q_measured:
-                q_measured = point.q_tilde
+            # budgets the prior row meets share one q_tilde, at rate 0
+            if point.q_tilde is not q_measured or point.rate != rate:
+                q_measured, rate = point.q_tilde, point.rate
+                delta_r = max(r_star - rate, 0.0)
+                bound = distortion_rate_bound(delta_r,
+                                              instance.hypotheses.l_max)
                 measured = d_sem(q_alice, q_measured, instance)
             row = BoundCheckRow(
                 epsilon=eps, rate=point.rate, r_star=r_star,

@@ -46,16 +46,15 @@ def _clean_probs(values, what: str) -> np.ndarray:
     p = np.asarray(values, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise NormalizationError(f"{what}: need a non-empty 1-d probability vector")
-    if np.any(p < 0) or not np.all(np.isfinite(p)):
+    # NaN and -inf fail p >= 0; an inf sum is an inf entry or an overflow
+    total = float(p.sum()) if (p >= 0).all() else math.nan
+    if math.isnan(total) or (total == math.inf and not np.isfinite(p).all()):
         raise NormalizationError(f"{what}: entries must be finite and >= 0")
-    total = float(p.sum())
     if abs(total - 1.0) >= RENORM_LIMIT:
         raise NormalizationError(
             f"{what}: sums to {total!r}, off by more than {RENORM_LIMIT}"
         )
-    if abs(total - 1.0) > 0.0:
-        p = p / total
-    p = p.copy()
+    p = p / total if total != 1.0 else p.copy()
     p.setflags(write=False)
     return p
 
@@ -180,7 +179,7 @@ def kl_divergence(p, q) -> float:
             f"kl_divergence: alphabets of size {pa.shape} vs {qa.shape}"
         )
     bad = (pa > 0) & (qa == 0)
-    if np.any(bad):
+    if bad.any():
         raise SupportViolationError(
             f"kl_divergence is infinite: mass at indices {np.flatnonzero(bad).tolist()} "
             "outside the support of the second argument"
@@ -197,7 +196,7 @@ def mutual_information(joint) -> float:
     j = np.asarray(joint, dtype=float)
     if j.ndim != 2:
         raise AlphabetMismatchError("mutual_information: need a 2-d joint matrix")
-    if np.any(j < 0):
+    if (j < 0).any():
         raise NormalizationError("mutual_information: negative joint entries")
     total = j.sum()
     if abs(total - 1.0) >= RENORM_LIMIT:
@@ -261,7 +260,10 @@ class HypothesisSpace:
                 f"loss tensor shape {t.shape} does not match hypothesis count "
                 f"{len(self.hypothesis_names)}"
             )
-        if np.any(t < 0) or np.any(t > self.l_max + 1e-12) or not np.all(np.isfinite(t)):
+        if not math.isfinite(self.l_max):
+            raise NormalizationError(f"l_max must be finite, got {self.l_max!r}")
+        # NaN and +-inf fail one side or the other
+        if not ((t >= 0) & (t <= self.l_max + 1e-12)).all():
             raise NormalizationError(
                 f"loss entries must lie in [0, l_max={self.l_max}]"
             )
@@ -316,7 +318,7 @@ class ProblemInstance:
         prior = self.concepts.prior.probs
         marg = prior @ cond
         post = np.divide(prior * cond.T, marg[:, None],
-                         out=np.tile(prior, (count, 1)),
+                         out=np.repeat(prior[None, :], count, axis=0),
                          where=marg[:, None] > 0)
         # true_loss_table[c, h] = E_{z ~ p_c} loss[c, h, z], the population risk
         # of the pure hypothesis h under concept c.
@@ -328,8 +330,8 @@ class ProblemInstance:
         object.__setattr__(self, "marginal", Distribution(marg))
         object.__setattr__(self, "posterior", post)
         object.__setattr__(self, "true_loss_table", tl)
-        gap = float(np.max(np.abs(prior[:, None] * cond
-                                  - (self.p_s[:, None] * post).T)))
+        gap = float(np.abs(prior[:, None] * cond
+                           - (self.p_s[:, None] * post).T).max())
         if gap > 1e-12:
             raise NormalizationError(f"Bayes consistency off by {gap}")
 
@@ -425,6 +427,8 @@ def problem_instance_from_json(obj: dict, pointer: str = "") -> ProblemInstance:
     hyp_names = _names(obj, "hypotheses", pointer)
     loss = _table(obj, "loss", pointer)
     l_max = _number(obj.get("l_max", 1.0), f"{pointer}/l_max")
+    if not math.isfinite(l_max):
+        raise ConfigError(f"{pointer}/l_max", f"must be finite, got {l_max!r}")
     try:
         hs = HypothesisSpace(
             hypothesis_names=tuple(hyp_names),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .spaces import (
@@ -35,6 +37,11 @@ def two_hypothesis_world() -> ProblemInstance:
     return ProblemInstance(concepts, hyps, 1)
 
 
+@functools.cache
+def _labels(prefix: str, n: int) -> tuple[str, ...]:
+    return tuple(f"{prefix}{i}" for i in range(n))
+
+
 def random_instance(
     rng: np.random.Generator,
     n_concepts: int = 2,
@@ -50,13 +57,13 @@ def random_instance(
     )
     loss = rng.uniform(0.0, 1.0, size=(n_concepts, n_hypotheses, n_symbols))
     concepts = ConceptSpace(
-        concept_names=tuple(f"c{i}" for i in range(n_concepts)),
-        sample_names=tuple(f"z{i}" for i in range(n_symbols)),
+        concept_names=_labels("c", n_concepts),
+        sample_names=_labels("z", n_symbols),
         prior=Distribution(prior),
         data_law=law,
     )
     hyps = HypothesisSpace(
-        hypothesis_names=tuple(f"h{i}" for i in range(n_hypotheses)),
+        hypothesis_names=_labels("h", n_hypotheses),
         loss=loss,
     )
     return ProblemInstance(concepts, hyps, m)

@@ -9,7 +9,9 @@ here gives each test the same pool, and the same examples, whether it runs
 alone or in the full suite.
 """
 
+import csv
 import importlib
+import math
 import os
 import pkgutil
 import sys
@@ -29,8 +31,10 @@ from beliefcomm import (
     random_instance,
 )
 from beliefcomm.channel_coding import inverse_cdf_sample
-from beliefcomm.errors import SupportViolationError
+from beliefcomm.cli import _fmt
+from beliefcomm.errors import NormalizationError, SupportViolationError
 from beliefcomm.rate_distortion import _kl_bits
+from beliefcomm.spaces import RENORM_LIMIT, _rel_entr
 
 for _module in pkgutil.iter_modules(beliefcomm.__path__):
     importlib.import_module(f"beliefcomm.{_module.name}")
@@ -155,3 +159,47 @@ def simulate_empirical_deterministic(instance: ProblemInstance, q_alice: Posteri
         joint_type=joint_type_from_pairs(s_seq, hyp_idx, instance.n_datasets,
                                          instance.n_hypotheses),
     )
+
+
+# the paths the validators, _kl_bits and _write_csv took before their fixed
+# per-call cost was cut, kept as the reference their property tests check
+
+
+def clean_probs_reference(values, what: str) -> np.ndarray:
+    """spaces._clean_probs as it was, one numpy wrapper call per test."""
+    p = np.asarray(values, dtype=float)
+    if p.ndim != 1 or p.size == 0:
+        raise NormalizationError(f"{what}: need a non-empty 1-d probability vector")
+    if np.any(p < 0) or not np.all(np.isfinite(p)):
+        raise NormalizationError(f"{what}: entries must be finite and >= 0")
+    total = float(p.sum())
+    if abs(total - 1.0) >= RENORM_LIMIT:
+        raise NormalizationError(
+            f"{what}: sums to {total!r}, off by more than {RENORM_LIMIT}"
+        )
+    if abs(total - 1.0) > 0.0:
+        p = p / total
+    p = p.copy()
+    p.setflags(write=False)
+    return p
+
+
+def loss_in_range_reference(t, l_max) -> bool:
+    """HypothesisSpace's range check as it was, negated: True where it
+    raised no error."""
+    return not (np.any(t < 0) or np.any(t > l_max + 1e-12)
+                or not np.all(np.isfinite(t)))
+
+
+def kl_bits_reference(p, q, ref) -> float:
+    """rate_distortion._kl_bits as it was, Python's sum over array scalars."""
+    return float(sum(p * _rel_entr(q, ref).sum(axis=1))) / math.log(2.0)
+
+
+def write_csv_reference(path, header, rows):
+    """cli._write_csv as it was, every cell through _fmt."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_fmt(x) for x in row])

@@ -1,17 +1,22 @@
 """CLI contracts: exit codes, CSV headers, manifests, reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beliefcomm import problem_instance_to_json, random_instance
-from beliefcomm.cli import main
+from beliefcomm.cli import _write_csv, main
+from conftest import write_csv_reference
 
 
 @pytest.fixture
@@ -317,6 +322,7 @@ def world3_file(tmp_path):
     (["compare-schemes"], {"rate_budget": False}, "rate_budget"),
     (["rd-curve"], {"epsilons": [False, True]}, "epsilons"),
     (["rd-curve"], {"prior": [True, False, False]}, "prior"),
+    (["compare-schemes"], {"compressors": [[1, True, 0]]}, "compressors/0"),
 ], ids=["code-n-abc", "code-n-neg", "code-n-0", "example1-n_list-5",
         "example1-n-1", "coordinate-trials-0", "coordinate-n-0",
         "compare-rate_budget-x", "compare-compressors-5",
@@ -324,7 +330,7 @@ def world3_file(tmp_path):
         "coordinate-slack-nan", "code-n-true", "code-slack-true",
         "coordinate-trials-true", "verify-instances-true",
         "compare-rate_budget-false", "rd-curve-epsilons-bools",
-        "rd-curve-prior-bools"])
+        "rd-curve-prior-bools", "compare-compressors-bool-label"])
 def test_bad_settings_exit_2(tmp_path, world3_file, capsys, argv, config,
                              key):
     """A bad number or shape in a flag or config is a config error, no crash."""
@@ -475,6 +481,44 @@ def test_inputs_that_crashed_exit_2(tmp_path, instance_file, capsys, argv,
     assert main(argv + ["--out", str(out)]) == 2
     assert expect in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("l_max", [math.nan, math.inf])
+def test_non_finite_l_max_exits_2(tmp_path, instance_file, capsys, l_max):
+    """Python's json reads NaN and Infinity; compare-schemes ran on either
+    and wrote nan bounds with exit 0."""
+    path = _instance_with(instance_file, "l_max", l_max, tmp_path)
+    out = tmp_path / "o"
+    assert main(["compare-schemes", "--instance", path,
+                 "--out", str(out)]) == 2
+    assert "config error: /l_max: must be finite" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+_CSV_FLOATS = st.one_of(
+    st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e16,
+                                  1e-5, 5e-324, 2.2250738585072014e-308,
+                                  0.1, 1.0]))
+_CSV_CELLS = st.one_of(
+    _CSV_FLOATS, _CSV_FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32), st.booleans(),
+    st.booleans().map(np.bool_), st.integers(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.none(),
+    st.text(alphabet='ab ,"\'\n\r\t;|0.-e\u00e9'))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(rows=st.lists(st.lists(_CSV_CELLS, max_size=6).map(tuple),
+                     max_size=5))
+def test_write_csv_matches_the_fmt_rows(rows):
+    """Native cells go to csv.writer as they are and give the bytes that
+    _fmt gave; every other cell still goes through _fmt."""
+    header = ["a", "b,c", 'd"e']
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        _write_csv(got, header, rows)
+        write_csv_reference(want, header, rows)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_block_rows_report_the_block_coder(tmp_path):

@@ -46,6 +46,7 @@ from beliefcomm.rate_distortion import (
     _ba_lagrangian,
     _bisect_slope,
     _constant_point,
+    _constant_rows,
     _distortion,
     _kl_bits,
     _point,
@@ -55,7 +56,8 @@ from beliefcomm.rate_distortion import (
     _tilt,
 )
 from beliefcomm.spaces import _logsumexp_rows, _rel_entr
-from conftest import kl_rate, philox_rng as _rng, sharp_sender as _sharp_sender
+from conftest import (kl_bits_reference, kl_rate, philox_rng as _rng,
+                      sharp_sender as _sharp_sender)
 
 
 def test_kl_rate_with_own_marginal_is_mutual_information():
@@ -298,7 +300,8 @@ def _solve_with_prior_alone(instance, q_sender, epsilon, prior):
         raise SupportViolationError("unreachable")
     delta_prior = float(p @ (dk @ prior_p)) - baseline
     if delta_prior <= epsilon + FEAS_DUST:
-        return _constant_point(instance, epsilon, prior_p, delta_prior)
+        return _constant_point(epsilon, _constant_rows(instance, prior_p),
+                               delta_prior)
     log_prior = np.full_like(prior_p, -np.inf)
     log_prior[supp] = np.log(prior_p[supp])
 
@@ -376,8 +379,8 @@ def _prior_grid_one_world(instance, q_sender, prior, epsilons,
     for epsilon in map(float, epsilons):
         if delta_prior <= epsilon + FEAS_DUST:
             if const is None:
-                const = _constant_point(instance, epsilon, prior_p,
-                                        delta_prior)
+                const = _constant_point(
+                    epsilon, _constant_rows(instance, prior_p), delta_prior)
             points.append(dataclasses.replace(
                 const, epsilon=epsilon, distortion=min(delta_prior, epsilon)))
             continue
@@ -520,6 +523,23 @@ def test_kl_bits_matches_the_row_loop(n_s, n_h, data):
     ref = (ref + (ref.sum() == 0)) / (ref + (ref.sum() == 0)).sum()
     got = _kl_bits(p / p.sum(), q, ref)
     want = _kl_bits_one_by_one(p / p.sum(), q, ref)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(n_s=st.integers(1, 40), n_h=st.integers(1, 6), data=st.data())
+def test_kl_bits_adds_as_pythons_sum(n_s, n_h, data):
+    """cumsum adds the weighted rows left to right as Python's sum did, to
+    the bit, zero and -0.0 weights and leaking rows included."""
+    p = data.draw(hnp.arrays(float, n_s, elements=st.sampled_from(
+        [0.0, -0.0, 5e-324, 1e-300, 1e-6, 0.1, 0.5, 1.0, 3.0])))
+    q = data.draw(hnp.arrays(float, (n_s, n_h), elements=_CELLS))
+    ref = data.draw(hnp.arrays(float, n_h, elements=_CELLS))
+    q[q.sum(axis=1) == 0] = 1.0
+    q /= q.sum(axis=1, keepdims=True)
+    ref = (ref + (ref.sum() == 0)) / (ref + (ref.sum() == 0)).sum()
+    with np.errstate(invalid="ignore"):  # a zero weight on a leaking row
+        got, want = _kl_bits(p, q, ref), kl_bits_reference(p, q, ref)
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 

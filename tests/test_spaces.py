@@ -38,6 +38,7 @@ from beliefcomm.spaces import (
     problem_instance_to_json,
 )
 from beliefcomm.worlds import random_instance, two_hypothesis_world
+from conftest import clean_probs_reference, loss_in_range_reference
 
 
 def test_distribution_accepts_small_drift():
@@ -293,6 +294,85 @@ def test_clean_rows_matches_row_by_row(rows):
     assert got.shape == ref.shape and _bits(got) == _bits(ref)
     assert not np.shares_memory(got, rows)
     assert _bits(rows) == _bits(before)
+
+
+@st.composite
+def _probability_vectors(draw):
+    """Normalised vectors, some drifted by about 1e-9, rescaled, negative,
+    NaN, infinite, subnormal or overflowing their sum."""
+    k = draw(st.integers(1, 9))
+    raw = draw(hnp.arrays(float, k, elements=st.sampled_from(
+        [0.0, 0.1, 0.25, 1.0 / 3.0, 0.7, 1.0, 2.0, 5e-324])))
+    if raw.sum() == 0:
+        raw[0] = 1.0
+    p = raw / raw.sum()
+    j = draw(st.integers(0, k - 1))
+    kind = draw(st.sampled_from(["ok", "ok", "drift", "drift", "scale",
+                                 "negative", "-0", "nan", "inf", "-inf",
+                                 "overflow"]))
+    if kind == "drift":
+        p[j] += draw(st.sampled_from([-1.1e-9, -1e-9, -9e-10, 9e-10, 1e-9,
+                                      1.1e-9]))
+    elif kind == "scale":
+        p *= 1.1
+    elif kind == "negative":
+        p[j] = -draw(st.sampled_from([0.1, 5e-324]))
+    elif kind == "-0":
+        p[p == 0] = -0.0
+    elif kind in ("nan", "inf", "-inf"):
+        p[j] = float(kind)
+    elif kind == "overflow":
+        p[:] = 1e308
+    return p
+
+
+@_SETTINGS
+@given(p=_probability_vectors())
+def test_clean_probs_matches_the_wrapper_checks(p):
+    """One >= 0 and one sum accept and reject what the np.any / np.all
+    checks did, with the same message, and return the same bits."""
+    before = p.copy()
+    with np.errstate(over="ignore"):
+        try:
+            ref = clean_probs_reference(p, "p")
+        except NormalizationError as e:
+            with pytest.raises(NormalizationError) as got:
+                _clean_probs(p, "p")
+            assert str(got.value) == str(e)
+            return
+        got = _clean_probs(p, "p")
+    assert _bits(got) == _bits(ref) and not got.flags.writeable
+    assert not np.shares_memory(got, p)
+    assert _bits(p) == _bits(before)
+
+
+@_SETTINGS
+@given(loss=hnp.arrays(float, hnp.array_shapes(min_dims=3, max_dims=3,
+                                                max_side=3),
+                       elements=st.sampled_from(
+                           [0.0, -0.0, 0.5, 1.0, 1.0 + 1e-12, 1.0 + 3e-12,
+                            2.0, -5e-324, 5e-324, np.nan, np.inf, -np.inf])),
+       l_max=st.sampled_from([1.0, 2.0, 0.5, 0.0, -1.0, 1e300]))
+def test_loss_range_check_matches_the_wrapper_checks(loss, l_max):
+    """HypothesisSpace accepts the loss tensors the np.any / np.all range
+    check accepted, at any finite l_max, and keeps their bits."""
+    names = tuple(f"h{i}" for i in range(loss.shape[1]))
+    if loss_in_range_reference(loss, l_max):
+        assert _bits(HypothesisSpace(names, loss, l_max).loss) == _bits(loss)
+    else:
+        with pytest.raises(NormalizationError, match="must lie in"):
+            HypothesisSpace(names, loss, l_max)
+
+
+@pytest.mark.parametrize("l_max", [np.nan, np.inf, -np.inf])
+def test_hypothesis_space_refuses_a_non_finite_l_max(l_max):
+    """A NaN l_max passed every loss before: no comparison with it holds."""
+    with pytest.raises(NormalizationError, match="l_max must be finite"):
+        HypothesisSpace(("h0",), np.zeros((1, 1, 1)), l_max)
+    obj = problem_instance_to_json(two_hypothesis_world())
+    obj["l_max"] = l_max
+    with pytest.raises(ConfigError, match="^/l_max: must be finite"):
+        problem_instance_from_json(obj)
 
 
 def _alphabet_from_tuples(cs, m):
