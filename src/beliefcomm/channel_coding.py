@@ -24,8 +24,8 @@ encode_batch / decode_batch are the one coder: they code B targets at once,
 target b (a symbol's belief, or a w-tuple of beliefs against the product
 prior) with K[b] candidates on stream path paths[b]. code_messages codes
 (T, m, w) dataset messages through them: per-symbol coding is w = 1, and a
-block of n symbols is one message of width n. encode_mrc / decode_mrc are
-the batch-of-one wrappers.
+block of n symbols is one message of width n. encode_mrc returns a
+CodeRecord and decode_mrc decodes one: the batch-of-one wrappers.
 """
 
 from __future__ import annotations
@@ -380,28 +380,10 @@ def encode_mrc(q: Distribution, p: Distribution, cr: CommonRandomness,
     )
 
 
-def decode_mrc(record, p: Distribution, cr: CommonRandomness,
-               n_candidates: int | None = None,
+def decode_mrc(record: CodeRecord, p: Distribution, cr: CommonRandomness,
                stream: tuple[int, ...] = ()) -> int:
-    """Regenerate the indexed proposal; the batch-of-one decode_batch.
-
-    Accepts either a CodeRecord or a bare index. A candidate count that
-    disagrees with the record's is an error: the replayed proposals would
-    not be the ones the encoder saw.
-    """
-    if isinstance(record, CodeRecord):
-        if n_candidates is not None and n_candidates != record.n_candidates:
-            raise ValueError(
-                f"decoder candidate count {n_candidates} does not match "
-                f"the record's {record.n_candidates}"
-            )
-        n_candidates = record.n_candidates
-        index = record.index
-    else:
-        index = int(record)
-        if n_candidates is None:
-            raise ValueError("decoding a bare index needs n_candidates")
-    return int(decode_batch([index], p, [n_candidates], cr, [stream])[0])
+    """The proposal a CodeRecord indexes; decode_batch is the index API."""
+    return int(decode_batch([record.index], p, [record.n_candidates], cr, [stream])[0])
 
 
 def induced_distribution_exact(q: Distribution, p: Distribution,
@@ -479,9 +461,8 @@ def code_messages(posterior: Posterior, prior: Distribution, datasets,
     rows = rows.reshape(len(distinct), len(prior))
     kl = np.array([kl_divergence(r, prior) for r in rows])
     msg_kl = sum(np.moveaxis(kl[slot], 2, 0))  # left to right, as sum() adds
-    # K once per distinct divergence; a symbol's are its distinct datasets'
-    values, which = (kl, slot.ravel()) if w == 1 else \
-        np.unique(msg_kl.ravel(), return_inverse=True)
+    # K once per distinct divergence
+    values, which = np.unique(msg_kl.ravel(), return_inverse=True)
     cap = DEFAULT_CANDIDATE_CAP if w == 1 else DEFAULT_BLOCK_CAP
     k = np.array([candidate_count(x, slack, cap) for x in values.tolist()],
                  dtype=np.int64)[which]

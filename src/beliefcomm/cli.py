@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channel_coding import DEFAULT_BLOCK_CAP, CommonRandomness, \
-    code_sequence, induced_distribution_exact, inverse_cdf_sample
+from .channel_coding import DEFAULT_BLOCK_CAP, DEFAULT_SLACK, \
+    CommonRandomness, code_sequence, induced_distribution_exact, inverse_cdf_sample
 from .coordination import d_avg_seq, d_max_seq, run_example_1, simulate_strong
 from .errors import (
     BeliefCommError,
@@ -181,12 +181,11 @@ def _get_seed(cfg) -> int:
     return seed
 
 
-def _get_prior(cfg, posterior, n_hypotheses) -> Distribution:
+def _get_prior(cfg):
+    """The prior setting, read once: "marginal", "uniform" or a Distribution."""
     spec = cfg.get("prior", "marginal")
-    if spec == "marginal":
-        return posterior.marginal
-    if spec == "uniform":
-        return Distribution.uniform(n_hypotheses)
+    if spec in ("marginal", "uniform"):
+        return spec
     if isinstance(spec, list):
         if any(isinstance(x, bool) for x in spec):
             raise ConfigError("/prior", "bad prior: booleans are not probabilities")
@@ -203,6 +202,15 @@ def _get_prior(cfg, posterior, n_hypotheses) -> Distribution:
         except (json.JSONDecodeError, ValueError) as e:
             raise ConfigError("/prior", f"bad prior file: {e}")
     raise ConfigError("/prior", f"unrecognized prior spec {spec!r}")
+
+
+def _world_prior(spec, posterior, n_h: int, name="the instance") -> Distribution:
+    """World name's prior under a _get_prior setting."""
+    if not isinstance(spec, Distribution):
+        return posterior.marginal if spec == "marginal" else Distribution.uniform(n_h)
+    if len(spec) != n_h:
+        raise ConfigError("/prior", f"{name} has {n_h} hypotheses, not {len(spec)}")
+    return spec
 
 
 def _epsilon_grid(cfg, l_max: float):
@@ -228,7 +236,7 @@ def _epsilon_grid(cfg, l_max: float):
 
 def _cmd_rd_curve(cfg, with_oracle):
     instance, _, q_alice = _get_sender(cfg)
-    prior = _get_prior(cfg, q_alice, instance.n_hypotheses)
+    prior = _world_prior(_get_prior(cfg), q_alice, instance.n_hypotheses)
     epsilons = _epsilon_grid(cfg, instance.hypotheses.l_max)
     points = rd_curve(instance, q_alice, epsilons).points
     prior_points = rd_curve(instance, q_alice, epsilons, prior=prior).points
@@ -255,10 +263,10 @@ def _tuple_law(rows) -> Distribution:
 
 def _cmd_code(cfg, with_oracle):
     instance, _, q_alice = _get_sender(cfg)
-    prior = _get_prior(cfg, q_alice, instance.n_hypotheses)
+    prior = _world_prior(_get_prior(cfg), q_alice, instance.n_hypotheses)
     seed = _get_seed(cfg)
     n = _setting(cfg, "n", 8)
-    slack = _setting(cfg, "slack", 4.0)
+    slack = _setting(cfg, "slack", DEFAULT_SLACK)
     mode = cfg.get("mode", "per_symbol")
     if mode not in ("per_symbol", "block"):
         raise ConfigError("/mode", f"unknown mode {mode!r}")
@@ -316,7 +324,7 @@ def _cmd_coordinate(cfg, with_oracle):
     seed = _get_seed(cfg)
     n = _setting(cfg, "n", 4)
     trials = _setting(cfg, "trials", 10**4)
-    slack = _setting(cfg, "slack", 4.0)
+    slack = _setting(cfg, "slack", DEFAULT_SLACK)
     cr = CommonRandomness(seed)
     report = simulate_strong(instance, q_target, n, cr, trials=trials, slack=slack)
     return (["n", "d_avg", "d_max", "bits_per_symbol", "tv_max_position",
@@ -403,9 +411,10 @@ def _cmd_verify_bound(cfg, with_oracle):
         l_max = inst.hypotheses.l_max
         if l_max not in grids:
             grids[l_max] = _epsilon_grid(cfg, l_max)
-    bank = [(inst, q_alice, _get_prior(cfg, q_alice, inst.n_hypotheses),
+    prior = _get_prior(cfg)
+    bank = [(inst, q_alice, _world_prior(prior, q_alice, inst.n_hypotheses, name),
              grids[inst.hypotheses.l_max])
-            for _, inst, q_alice in cases]
+            for name, inst, q_alice in cases]
     try:
         checked = verify_bound(bank)
     except BoundViolationError as e:

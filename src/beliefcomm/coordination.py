@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel_coding import CommonRandomness, code_messages, inverse_cdf_sample
+from .channel_coding import DEFAULT_SLACK, CommonRandomness, code_messages, \
+    inverse_cdf_sample
 from .errors import SupportViolationError
 from .learning import Posterior, d_sem_rows, effective_distortion_matrix
 from .spaces import ProblemInstance, total_variation
@@ -100,8 +101,8 @@ class StrongCoordinationReport:
 
 
 def simulate_strong(instance: ProblemInstance, q_target: Posterior, n: int,
-                    cr: CommonRandomness, trials: int = 10**4,
-                    slack: float = 4.0) -> StrongCoordinationReport:
+                    cr: CommonRandomness, trials: int,
+                    slack: float = DEFAULT_SLACK) -> StrongCoordinationReport:
     """Code every position through the one-shot coder and measure tracking.
 
     Each trial draws a fresh dataset sequence, codes each position's target

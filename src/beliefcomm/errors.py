@@ -22,7 +22,7 @@ class NormalizationError(BeliefCommError, ValueError):
 
 
 class ConvergenceError(BeliefCommError, RuntimeError):
-    """An iterative solver ran out of iterations; message carries the last gap."""
+    """No slope up to SLOPE_MAX meets the budget; message has the last constraint."""
 
 
 class InvariantViolationError(BeliefCommError, AssertionError):

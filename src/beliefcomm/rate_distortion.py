@@ -95,14 +95,6 @@ class RDCurve:
                     f"convexity violated at eps={e1}: rate {r1} above chord {chord}"
                 )
 
-    @property
-    def epsilons(self) -> list[float]:
-        return [p.epsilon for p in self.points]
-
-    @property
-    def rates(self) -> list[float]:
-        return [p.rate for p in self.points]
-
 
 def _kl_bits(p: np.ndarray, q: np.ndarray, ref: np.ndarray) -> float:
     """E_S D(q(.|s) || ref) in bits over weights p.

@@ -32,9 +32,7 @@ from .errors import (
 
 LOG2 = math.log(2.0)
 
-# Sum-to-one is enforced to 1e-12 after construction; anything drifted by less
-# than 1e-9 is renormalized, anything worse is an error.
-NORM_TOL = 1e-12
+# a vector this close to sum 1 is divided by its sum; one further off is refused
 RENORM_LIMIT = 1e-9
 
 DEFAULT_ENUMERATION_CAP = 10**6
@@ -54,7 +52,7 @@ def _clean_probs(values, what: str) -> np.ndarray:
         raise NormalizationError(
             f"{what}: sums to {total!r}, off by more than {RENORM_LIMIT}"
         )
-    p = p / total if total != 1.0 else p.copy()
+    p = p / total
     p.setflags(write=False)
     return p
 
@@ -64,17 +62,15 @@ def _clean_rows(values, what: str) -> np.ndarray:
 
     The whole matrix is checked at once; if any row fails, the rows are
     cleaned one by one, so the first bad row raises with its index appended
-    to what ("posterior row 3"). Only a row whose sum is not exactly 1.0 is
-    divided by it. Returns a new writable array.
+    to what ("posterior row 3"). Every row is divided by its sum, which keeps
+    a row summing to exactly 1.0 bit for bit. Returns a new writable array.
     """
     r = np.array(values, dtype=float, order="C")
     if r.ndim == 2 and r.size:
         sums = r.sum(axis=1)
         # NaN and -inf fail r >= 0; +inf makes its row sum inf
         if (r >= 0).all() and (np.abs(sums - 1.0) < RENORM_LIMIT).all():
-            off = sums != 1.0
-            if off.any():
-                r[off] /= sums[off, None]
+            r /= sums[:, None]
             return r
     return np.stack([_clean_probs(row, f"{what} {i}") for i, row in enumerate(r)])
 
@@ -136,17 +132,6 @@ class Distribution:
 
     def __len__(self) -> int:
         return self.probs.size
-
-    @property
-    def support(self) -> np.ndarray:
-        """Indices with strictly positive mass."""
-        return np.flatnonzero(self.probs > 0)
-
-    @staticmethod
-    def point_mass(index: int, size: int) -> "Distribution":
-        p = np.zeros(size)
-        p[index] = 1.0
-        return Distribution(p)
 
     @staticmethod
     def uniform(size: int) -> "Distribution":

@@ -89,20 +89,6 @@ def test_encode_decode_round_trip():
     rec = encode_mrc(q, p, cr, 8, stream=(0, 3))
     out = decode_mrc(rec, p, cr, stream=(0, 3))
     assert out == rec.sample
-    # a bare index decodes the same way if the count is supplied
-    out2 = decode_mrc(rec.index, p, cr, n_candidates=8, stream=(0, 3))
-    assert out2 == rec.sample
-
-
-def test_decode_rejects_mismatched_candidate_count():
-    q = Distribution([0.9, 0.1])
-    p = Distribution([0.5, 0.5])
-    cr = CommonRandomness(7)
-    rec = encode_mrc(q, p, cr, 8, stream=(0,))
-    with pytest.raises(ValueError, match="does not match"):
-        decode_mrc(rec, p, cr, n_candidates=16, stream=(0,))
-    with pytest.raises(ValueError):
-        decode_mrc(3, p, cr, stream=(0,))  # bare index, no count
 
 
 def test_code_record_validates_index_range():
@@ -606,8 +592,7 @@ def test_fused_encoder_pass_matches_the_contract(seed, case):
             idx, sample = _tuple_reference(targets[b], p, k, seed, path)
             assert enc.index[b] == idx
             np.testing.assert_array_equal(samples[b], sample)
-        for j in range(w):
-            assert decode_mrc(int(enc.index[b]) * w + j, p,
-                              CommonRandomness(seed), n_candidates=k * w,
-                              stream=path) == samples[b, j]
+        np.testing.assert_array_equal(
+            decode_batch(int(enc.index[b]) * w + np.arange(w), p, [k * w] * w,
+                         CommonRandomness(seed), [path] * w), samples[b])
     assert cr.bits_consumed == 64 * (int(ks.sum()) * w + len(ks))

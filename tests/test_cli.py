@@ -612,9 +612,13 @@ def test_block_past_the_alphabet_cap_exits_2(tmp_path, instance_file, capsys):
     (["code"], {"prior": [0.5, "x"]}, "prior"),
     (["verify-bound"], {"prior": [0.5, "x"]}, "prior"),
     (["rd-curve"], {"prior": [0.5, 0.6]}, "prior"),
+    (["rd-curve"], {"prior": [0.2, 0.3, 0.5]}, "prior"),
+    (["code"], {"prior": [0.2, 0.3, 0.5]}, "prior"),
+    (["verify-bound"], {"prior": [0.2, 0.3, 0.5]}, "prior"),
 ], ids=["rd-curve-nan", "rd-curve-inf", "verify-bound-nan", "verify-bound-inf",
         "rd-curve-prior-x", "code-prior-x", "verify-bound-prior-x",
-        "rd-curve-prior-sum"])
+        "rd-curve-prior-sum", "rd-curve-prior-length", "code-prior-length",
+        "verify-bound-prior-length"])
 def test_bad_budgets_and_priors_exit_2(tmp_path, instance_file, capsys, argv,
                                        config, key):
     """A non-finite budget ran to the slope cap (nan, exit 3) or wrote an inf
@@ -630,6 +634,29 @@ def test_bad_budgets_and_priors_exit_2(tmp_path, instance_file, capsys, argv,
     out = tmp_path / "o"
     assert main(argv + ["--out", str(out)]) == 2
     assert f"config error: /{key}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_verify_bound_reads_a_prior_file_once(tmp_path, capsys, monkeypatch):
+    """The prior setting is parsed once per run, not once per world, and a
+    prior on the wrong hypothesis alphabet names the world it misfits."""
+    prior = tmp_path / "prior.json"
+    prior.write_text("[0.5, 0.5]")
+    reads = []
+    read_text = Path.read_text
+
+    def counted(self, *args, **kwargs):
+        if self == prior:
+            reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    out = tmp_path / "o"
+    assert main(["verify-bound", "--instances", "20", "--seed", "1", "--prior",
+                 str(prior), "--out", str(out)]) == 2
+    assert len(reads) == 1
+    assert "config error: /prior: random-1 has 3 hypotheses, not 2" in \
+        capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 

@@ -155,7 +155,7 @@ def test_nan_epsilon_rejected():
 def test_prior_solver_infinite_rate_raises():
     inst, q, _ = _sharp_sender(5)
     # a prior with a dead hypothesis cannot reproduce rows that need it
-    prior = Distribution.point_mass(0, inst.n_hypotheses)
+    prior = Distribution(np.eye(inst.n_hypotheses)[0])
     with pytest.raises(SupportViolationError):
         solve_rd_with_prior(inst, q, 0.0, prior)
 
@@ -490,8 +490,8 @@ def test_rd_curve_invariants_and_shape():
     eps = [0.0, 0.25 * span, 0.5 * span, 0.75 * span, 1.05 * span]
     curve = rd_curve(inst, q, eps)
     assert isinstance(curve, RDCurve)
-    assert curve.epsilons == eps
-    assert curve.rates[-1] == 0.0
+    assert [p.epsilon for p in curve.points] == eps
+    assert curve.points[-1].rate == 0.0
 
 
 def test_rd_curve_rejects_unsorted_budgets():
