@@ -34,7 +34,8 @@ from .errors import (
     EnumerationCapError,
     InvariantViolationError,
 )
-from .learning import LearningRule, Posterior, effective_distortion_matrix, fit
+from .learning import (LearningRule, Posterior, _fit_bank,
+                       effective_distortion_matrix, fit)
 from .oracle import (
     _MAX_FREE_DIMS,
     mrc_enumeration_oracle,
@@ -45,12 +46,13 @@ from .rate_distortion import rd_curve, solve_rd
 from .schemes import compare_schemes, enumerate_compressors, verify_bound
 from .spaces import (
     Distribution,
+    _bank,
     kl_divergence,
     load_problem_instance,
     problem_instance_from_json,
     total_variation,
 )
-from .worlds import random_instance, two_hypothesis_world
+from .worlds import _draw, random_instance, two_hypothesis_world
 
 VALIDATION_EXIT = 2
 VIOLATION_EXIT = 3
@@ -79,13 +81,25 @@ def _fmt(x) -> str:
 _NATIVE = (str, int, float)
 
 
+class _FloatText(dict):
+    """The repr of each float looked up, computed once."""
+
+    def __missing__(self, x):
+        text = self[x] = repr(x)
+        return text
+
+
 def _write_csv(path: Path, header, rows):
+    text = _FloatText()
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
         # an exact type test: bool subclasses int and np.float64 float, and
-        # _fmt writes both its own way
-        w.writerows([x if type(x) in _NATIVE else _fmt(x) for x in row]
+        # _fmt writes both its own way. Each distinct nonzero float is
+        # formatted once per file; a zero goes to csv.writer as it is, since
+        # -0.0 == 0.0 as dict keys and each keeps its own repr
+        w.writerows([text[x] if type(x) is float and x else
+                     x if type(x) in _NATIVE else _fmt(x) for x in row]
                     for row in rows)
 
 
@@ -186,22 +200,24 @@ def _get_prior(cfg):
     spec = cfg.get("prior", "marginal")
     if spec in ("marginal", "uniform"):
         return spec
-    if isinstance(spec, list):
-        if any(isinstance(x, bool) for x in spec):
-            raise ConfigError("/prior", "bad prior: booleans are not probabilities")
-        try:
-            return Distribution(spec)
-        except (TypeError, ValueError) as e:
-            raise ConfigError("/prior", f"bad prior: {e}") from None
     if isinstance(spec, str):
         path = Path(spec)
         if not path.is_file():
             raise ConfigError("/prior", f"no such prior file: {path}")
         try:
-            return Distribution(json.loads(path.read_text()))
-        except (json.JSONDecodeError, ValueError) as e:
-            raise ConfigError("/prior", f"bad prior file: {e}")
-    raise ConfigError("/prior", f"unrecognized prior spec {spec!r}")
+            spec = json.loads(path.read_text())
+        except json.JSONDecodeError as e:
+            raise ConfigError("/prior", f"bad prior file: {e}") from None
+    # a list in the config and the contents of a file get the same checks
+    if not isinstance(spec, list):
+        raise ConfigError("/prior", "bad prior: need a list of probabilities, "
+                                    f"got {spec!r}")
+    if any(isinstance(x, bool) for x in spec):
+        raise ConfigError("/prior", "bad prior: booleans are not probabilities")
+    try:
+        return Distribution(spec)
+    except (TypeError, ValueError) as e:
+        raise ConfigError("/prior", f"bad prior: {e}") from None
 
 
 def _world_prior(spec, posterior, n_h: int, name="the instance") -> Distribution:
@@ -393,6 +409,29 @@ def _cmd_compare_schemes(cfg, with_oracle):
              "infeasible"], rows), None
 
 
+def _random_bank(rng, count: int):
+    """verify-bound's random worlds and their gibbs senders, in draw order.
+
+    Each world draws |C|, |Z| and |H| from 2-3, its tables as
+    random_instance draws them at m = 1, then its sender's beta. The worlds
+    of each shape are then built and fitted as one stack.
+    """
+    draws, groups = [], {}
+    for i in range(count):
+        shape = tuple(int(rng.integers(2, 4)) for _ in range(3))
+        draws.append((*_draw(rng, *shape),
+                      float(np.exp(rng.uniform(np.log(0.5), np.log(4.0))))))
+        groups.setdefault(shape, []).append(i)
+    worlds = [None] * count
+    for members in groups.values():
+        prior, law, loss, beta = map(np.array, zip(*(draws[i] for i in members)))
+        instances = _bank(prior, law, loss, m=1)
+        for i, inst, q in zip(members, instances,
+                              _fit_bank("gibbs", beta, instances)):
+            worlds[i] = inst, q
+    return worlds
+
+
 def _cmd_verify_bound(cfg, with_oracle):
     seed = _get_seed(cfg)
     count = _setting(cfg, "instances", 20)
@@ -400,12 +439,8 @@ def _cmd_verify_bound(cfg, with_oracle):
     world = two_hypothesis_world()
     cases = [("alternating-world", world,
               Posterior.from_rows(np.full((world.n_datasets, 2), 0.5), world))]
-    for i in range(count):
-        inst = random_instance(rng, n_concepts=int(rng.integers(2, 4)),
-                               n_symbols=int(rng.integers(2, 4)),
-                               n_hypotheses=int(rng.integers(2, 4)), m=1)
-        beta = float(np.exp(rng.uniform(np.log(0.5), np.log(4.0))))
-        cases.append((f"random-{i}", inst, fit(LearningRule.gibbs(beta), inst)))
+    cases += [(f"random-{i}", inst, q)
+              for i, (inst, q) in enumerate(_random_bank(rng, count))]
     grids = {}  # the default grid scales with l_max
     for _, inst, _ in cases:
         l_max = inst.hypotheses.l_max

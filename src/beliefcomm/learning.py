@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AlphabetMismatchError, ConfigError
-from .spaces import (Distribution, ProblemInstance, _clean_rows,
-                     _logsumexp_rows, _number, _table)
+from .spaces import (Distribution, ProblemInstance, _clean_stack,
+                     _logsumexp_rows, _number, _stack, _table, _wrap)
 
 ERM_TIE_TOL = 1e-12
 
@@ -40,9 +40,20 @@ class Posterior:
                 f"Posterior rows shape {r.shape}, expected "
                 f"({instance.n_datasets}, {instance.n_hypotheses})"
             )
-        r = _clean_rows(r, "posterior row")
-        r.setflags(write=False)
-        return Posterior(rows=r, marginal=Distribution(instance.p_s @ r))
+        return _posteriors(r[None], instance.p_s[None])[0]
+
+
+def _posteriors(rows, p_s) -> list[Posterior]:
+    """The Posteriors of a stack of worlds: rows (B, |S|, |H|), each world's
+    cleaned as Posterior.from_rows cleans them, and p_s (B, |S|) the worlds'
+    dataset marginals. Each Posterior's arrays are read-only views into the
+    stacks."""
+    r = _clean_stack(rows, "posterior row")
+    marginals = _clean_stack(np.matmul(p_s[:, None, :], r)[:, 0])
+    r.setflags(write=False)
+    marginals.setflags(write=False)
+    return [_wrap(Posterior, rows=row, marginal=_wrap(Distribution, probs=mar))
+            for row, mar in zip(r, marginals)]
 
 
 @dataclass(frozen=True)
@@ -92,38 +103,54 @@ def dataset_scores(instance: ProblemInstance) -> np.ndarray:
 
     This is the quantity both gibbs and erm rank hypotheses by.
     """
-    n_s, n_h = instance.n_datasets, instance.n_hypotheses
-    # emp[c, h, s] = mean_j loss[c, h, z_j], summed and divided by m as
-    # mean(axis=3) computes it
-    emp = instance.hypotheses.loss[:, :, instance.datasets].sum(axis=3) \
-        / instance.m
-    scores = np.einsum("sc,chs->sh", instance.posterior, emp)
-    assert scores.shape == (n_s, n_h)
-    return scores
+    return _scores([instance])[0]
 
 
-def _rule_rows(rule: LearningRule, scores: np.ndarray, m: int) -> np.ndarray:
-    """Rows of a gibbs or erm rule, one per row of ranking scores.
+def _scores(instances) -> np.ndarray:
+    """dataset_scores of worlds of one shape, stacked (B, |S|, |H|)."""
+    first = instances[0]
+    # emp[b, c, h, s] = mean_j loss[b, c, h, z_j], summed and divided by m
+    # as mean(axis=4) computes it
+    emp = _stack([w.hypotheses.loss for w in instances])[
+        :, :, :, first.datasets].sum(axis=4) / first.m
+    return np.einsum("bsc,bchs->bsh", _stack([w.posterior for w in instances]),
+                     emp)
+
+
+def _rule_rows(kind: str, beta, scores: np.ndarray, m: int) -> np.ndarray:
+    """Rows of a gibbs or erm rule, one per row of ranking scores (..., |H|).
 
     m is the dataset length: gibbs tempers the summed empirical loss, m times
-    the averaged score. erm splits its mass evenly over the near-ties of the
-    least score.
+    the averaged score, at inverse temperature beta, a number or an array
+    that broadcasts against scores. erm splits its mass evenly over the
+    near-ties of the least score.
     """
-    if rule.kind == "gibbs":
-        logits = -rule.beta * m * scores
-        return np.exp(logits - _logsumexp_rows(logits)[:, None])
-    if rule.kind == "erm":
-        ties = scores <= scores.min(axis=1, keepdims=True) + ERM_TIE_TOL
-        return ties / ties.sum(axis=1, keepdims=True)
-    raise ValueError(f"unknown rule kind {rule.kind!r}")
+    if kind == "gibbs":
+        logits = -beta * m * scores
+        lse = _logsumexp_rows(logits.reshape(-1, logits.shape[-1]))
+        return np.exp(logits - lse.reshape(logits.shape[:-1] + (1,)))
+    if kind == "erm":
+        ties = scores <= scores.min(axis=-1, keepdims=True) + ERM_TIE_TOL
+        return ties / ties.sum(axis=-1, keepdims=True)
+    raise ValueError(f"unknown rule kind {kind!r}")
 
 
 def fit(rule: LearningRule, instance: ProblemInstance) -> Posterior:
     """Run a learning rule on every dataset at once."""
     if rule.kind == "map_table":
         return Posterior.from_rows(rule.table, instance)
-    rows = _rule_rows(rule, dataset_scores(instance), instance.m)
-    return Posterior.from_rows(rows, instance)
+    return _fit_bank(rule.kind, rule.beta, [instance])[0]
+
+
+def _fit_bank(kind: str, beta, instances) -> list[Posterior]:
+    """fit over worlds of one shape with one gibbs or erm rule kind: the
+    scores, rule rows and Posteriors of the whole stack at once. beta is one
+    inverse temperature or one per world (gibbs only)."""
+    if isinstance(beta, np.ndarray):
+        beta = beta[:, None, None]
+    return _posteriors(
+        _rule_rows(kind, beta, _scores(instances), instances[0].m),
+        _stack([w.p_s for w in instances]))
 
 
 def d_sem(q_sender: Posterior, q_receiver: Posterior, instance: ProblemInstance) -> float:
@@ -134,11 +161,22 @@ def d_sem(q_sender: Posterior, q_receiver: Posterior, instance: ProblemInstance)
     """
     _check_rows(q_sender, instance)
     _check_rows(q_receiver, instance)
+    return _d_sem_bank([instance], q_sender.rows[None],
+                       q_receiver.rows[None])[0]
+
+
+def _d_sem_bank(instances, sender_rows, receiver_rows) -> list[float]:
+    """d_sem of each world of one shape, between stacked rows (B, |S|, |H|)
+    already checked against it."""
     # joint weight over (c, s) = P_C(c) P(s|c); contract against the
     # per-concept population risks of each row.
-    w = instance.concepts.prior.probs[:, None] * instance.conditional  # (c, s)
-    diff = q_receiver.rows - q_sender.rows  # (s, h)
-    return float(np.einsum("cs,sh,ch->", w, diff, instance.true_loss_table))
+    weight = _stack([x.concepts.prior.probs for x in instances])[:, :, None] \
+        * _stack([x.conditional for x in instances])  # (b, c, s)
+    # one contraction per world: where an axis has length 1, the stacked
+    # einsum "bcs,bsh,bch->b" adds in another order than a world's own
+    return [float(np.einsum("cs,sh,ch->", *x)) for x in zip(
+        weight, receiver_rows - sender_rows,
+        _stack([x.true_loss_table for x in instances]))]
 
 
 def effective_distortion_matrix(instance: ProblemInstance,
@@ -153,9 +191,18 @@ def effective_distortion_matrix(instance: ProblemInstance,
     and baseline is the same contraction evaluated at the sender's own rows.
     """
     _check_rows(q_sender, instance)
-    dmat = instance.posterior @ instance.true_loss_table  # (s, h)
-    baseline = float(np.einsum("s,sh,sh->", instance.p_s, q_sender.rows, dmat))
-    return dmat, baseline
+    dmat, baseline = _effective_bank([instance], q_sender.rows[None])
+    return dmat[0], float(baseline[0])
+
+
+def _effective_bank(instances, sender_rows):
+    """effective_distortion_matrix of each world of one shape, with sender
+    rows (B, |S|, |H|) already checked against it: stacked D and baselines."""
+    dmat = np.matmul(_stack([w.posterior for w in instances]),
+                     _stack([w.true_loss_table for w in instances]))
+    return dmat, np.einsum("bs,bsh,bsh->b",
+                           _stack([w.p_s for w in instances]), sender_rows,
+                           dmat)
 
 
 def d_sem_rows(row_sender, row_receiver, instance: ProblemInstance):

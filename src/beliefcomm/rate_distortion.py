@@ -29,12 +29,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, InvariantViolationError, SupportViolationError
-from .learning import Posterior, effective_distortion_matrix
-from .spaces import Distribution, ProblemInstance, _logsumexp_rows, _rel_entr
+from .learning import (Posterior, _check_rows, _effective_bank, _posteriors,
+                       effective_distortion_matrix)
+from .spaces import (Distribution, ProblemInstance, _logsumexp_rows, _rel_entr,
+                     _stack)
 
 LOG2 = math.log(2.0)
 
@@ -168,19 +171,29 @@ def _setup(instance, q_sender):
 def _point(instance, epsilon, q, ref_row, rate, distortion, slope, iters,
            gap) -> RDPoint:
     """An RDPoint whose zero-mass datasets get ref_row."""
-    rows = np.repeat(ref_row[None, :], instance.n_datasets, axis=0)
-    rows[instance.p_s > 0] = q
+    q_tilde = _posteriors(_full_rows(q[None], ref_row[None], instance.p_s > 0),
+                          instance.p_s[None])[0]
     return RDPoint(
         epsilon=epsilon, rate=max(rate, 0.0), distortion=distortion,
-        slope=slope, q_tilde=Posterior.from_rows(rows, instance),
-        iterations=iters, duality_gap=gap,
+        slope=slope, q_tilde=q_tilde, iterations=iters, duality_gap=gap,
     )
 
 
-def _constant_rows(instance, row) -> Posterior:
-    """Every dataset gets the same row."""
-    return Posterior.from_rows(
-        np.repeat(row[None, :], instance.n_datasets, axis=0), instance)
+def _full_rows(q, ref, keep):
+    """Rows on every dataset of stacked worlds that share the mask keep of
+    positive-mass datasets: q (B, kept, |H|) on those, ref (B, |H|) on the
+    rest."""
+    if keep.all():
+        return q
+    rows = np.repeat(ref[:, None, :], keep.size, axis=1)
+    rows[:, keep] = q
+    return rows
+
+
+def _constant_rows(p_s, rows) -> list[Posterior]:
+    """Posteriors of stacked worlds (p_s (B, |S|)) giving each world its one
+    row of rows (B, |H|) on every dataset."""
+    return _posteriors(np.repeat(rows[:, None, :], p_s.shape[1], axis=1), p_s)
 
 
 def _constant_point(epsilon, q_tilde, delta) -> RDPoint:
@@ -333,7 +346,8 @@ def solve_rd(instance: ProblemInstance, q_sender: Posterior, epsilon: float,
     # Rate-zero fast path: best constant row.
     row, delta0 = _best_constant(p, dk, baseline)
     if delta0 <= epsilon + FEAS_DUST:
-        return _constant_point(epsilon, _constant_rows(instance, row), delta0)
+        return _constant_point(
+            epsilon, _constant_rows(instance.p_s[None], row[None])[0], delta0)
 
     gap_tol_nats = 0.25 * rate_tol * LOG2
 
@@ -381,7 +395,8 @@ def solve_dr(instance: ProblemInstance, q_sender: Posterior,
     if rate_budget == 0.0:
         # I(S;H) = 0 forces one row on every dataset, so the best constant
         # row is the exact answer
-        return _constant_point(delta0, _constant_rows(instance, row), delta0)
+        return _constant_point(
+            delta0, _constant_rows(instance.p_s[None], row[None])[0], delta0)
     const, d_const = np.repeat(row[None, :], len(p), axis=0), dk @ row
 
     def run(mu):
@@ -435,15 +450,13 @@ def _tilt(p, log_prior, d0, sigma):
     return q, -p_log_z - sigma * np.einsum("bs,bsh,bsh->b", p, q, d0)
 
 
-def _prior_search(instance, epsilon, p, dk, baseline, prior_p, rate_tol):
-    """One budget's _search against a fixed prior; returns its RDPoint."""
+def _prior_search(epsilon, p, dk, baseline, prior_p, rate_tol):
+    """One budget's _search against a fixed prior, on one world's kept
+    datasets; it returns (q, rate, delta, slope, iters, gap)."""
     def cost(q):
         return _kl_bits(p, q, prior_p), _distortion(p, q, dk, baseline)
 
-    q, rate, delta, slope, iters, gap = yield from _search(
-        epsilon, cost, rate_tol, 1e-15, FEAS_DUST)
-    return _point(instance, epsilon, q, prior_p, rate, delta, slope, iters,
-                  gap)
+    return _search(epsilon, cost, rate_tol, 1e-15, FEAS_DUST)
 
 
 def _lockstep(searches, p, log_prior, d0, dk, baseline, epsilon):
@@ -475,34 +488,91 @@ def _lockstep(searches, p, log_prior, d0, dk, baseline, epsilon):
     return results
 
 
+class _PriorSetup(NamedTuple):
+    """The fixed-prior set-up of stacked worlds whose shapes and
+    positive-mass datasets agree, world j at index j of each array."""
+
+    keep: np.ndarray  # (|S|,) the datasets of positive mass
+    p_s: np.ndarray  # (n, |S|)
+    p: np.ndarray  # (n, kept): P_S on the kept datasets
+    dk: np.ndarray  # (n, kept, |H|) distortion rows
+    baseline: np.ndarray  # (n,)
+    prior: np.ndarray  # (n, |H|)
+    log_prior: np.ndarray  # (n, |H|), -inf off the support
+    d0: np.ndarray  # dk with each row shifted to minimum 0 on the support
+    d_inf: np.ndarray  # (n,) least distortion inside the prior's support
+    delta_prior: np.ndarray  # (n,) distortion of the prior row itself
+
+
+def _prior_setup(problems) -> _PriorSetup:
+    """The set-up of fixed-prior problems (instance, sender, prior) whose
+    shapes and positive-mass datasets agree, in one pass over their
+    stacks."""
+    instances = [instance for instance, *_ in problems]
+    dk, baseline = _effective_bank(instances,
+                                   _stack([q.rows for _, q, _ in problems]))
+    p = p_s = _stack([instance.p_s for instance in instances])
+    prior = _stack([prior.probs for *_, prior in problems])
+    keep = p_s[0] > 0
+    if not keep.all():
+        # compress, not dk[:, keep], whose result is not C-contiguous and
+        # would change the bits of the per-world reductions
+        p, dk = p_s.compress(keep, axis=1), dk.compress(keep, axis=1)
+    supp = prior > 0
+    d_min = np.where(supp[:, None, :], dk, np.inf).min(axis=2)
+    log_prior = np.full_like(prior, -np.inf)
+    log_prior[supp] = np.log(prior[supp])
+    return _PriorSetup(
+        keep=keep, p_s=p_s, p=p, dk=dk, baseline=baseline, prior=prior,
+        log_prior=log_prior, d0=dk - d_min[:, :, None],
+        d_inf=_dots(p, d_min) - baseline,
+        delta_prior=_dots(p, np.matmul(dk, prior[:, :, None])[:, :, 0])
+        - baseline)
+
+
+def _dots(a, b):
+    """Row-by-row dot products of two stacks (B, n), each as a @ b of one
+    row pair computes it."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 def _prior_grid(problems, rate_tol=DEFAULT_RATE_TOL) -> list[list[RDPoint]]:
     """solve_rd_with_prior over a bank of problems (instance, sender, prior,
     budgets), each set up once, every search of the bank in lockstep.
 
     The distortion rows, the prior's reach and log, and the rate-zero point
-    depend on the instance, the sender and the prior alone; every budget
-    the prior row meets shares that one point, with its own epsilon. The
-    other budgets are searched together: the searches whose kept-dataset x
-    hypothesis shape agree share one batched tilt per multiplier step, which
-    gives each search the bits it gets alone. Returns each problem's points
-    in budget order.
+    depend on the instance, the sender and the prior alone, and are set up
+    at once for each group of problems whose shapes and positive-mass
+    datasets agree; every budget the prior row meets shares its problem's
+    one rate-zero point, with its own epsilon. The other budgets are
+    searched together: the searches whose kept-dataset x hypothesis shape
+    agree share one batched tilt per multiplier step, and the finished
+    points of each group get their rows at once, which gives each search
+    the bits it gets alone. Problems and budgets are checked in order, so
+    the first bad one raises. Returns each problem's points in budget
+    order.
     """
-    points, banks = [], {}
-    for instance, q_sender, prior, epsilons in problems:
-        p, dk, baseline = _setup(instance, q_sender)
-        prior_p = prior.probs
-        if len(prior_p) != instance.n_hypotheses:
+    groups = {}
+    for k, (instance, q_sender, prior, _) in enumerate(problems):
+        shape = instance.n_datasets, instance.n_hypotheses
+        # a misfit sender or prior raises in its turn below
+        if q_sender.rows.shape == shape and len(prior) == shape[1]:
+            groups.setdefault((*shape, instance.concepts.n_concepts,
+                               (instance.p_s > 0).tobytes()), []).append(k)
+    setups, where = [], {}
+    for members in groups.values():
+        where.update((k, (len(setups), j)) for j, k in enumerate(members))
+        setups.append(_prior_setup([problems[k][:3] for k in members]))
+
+    points, consts, banks = [], {}, {}
+    for k, (instance, q_sender, prior, epsilons) in enumerate(problems):
+        if k not in where:
+            _check_rows(q_sender, instance)
             raise SupportViolationError(
                 "prior lives on the wrong hypothesis alphabet")
-
-        supp = prior_p > 0
-        d_min = dk[:, supp].min(axis=1)
-        d_inf = float(p @ d_min) - baseline
-        delta_prior = float(p @ (dk @ prior_p)) - baseline
-        log_prior = np.full_like(prior_p, -np.inf)
-        log_prior[supp] = np.log(prior_p[supp])
-        d0 = dk - d_min[:, None]
-        q_const = None
+        gi, j = where[k]
+        setup = setups[gi]
+        d_inf, delta_prior = float(setup.d_inf[j]), float(setup.delta_prior[j])
         pts = []
         for epsilon in map(float, epsilons):
             _check_budget(epsilon)
@@ -512,21 +582,51 @@ def _prior_grid(problems, rate_tol=DEFAULT_RATE_TOL) -> list[list[RDPoint]]:
                     f"(best achievable {d_inf}); the rate is infinite"
                 )
             if delta_prior <= epsilon + FEAS_DUST:
-                if q_const is None:
-                    q_const = _constant_rows(instance, prior_p)
-                pts.append(_constant_point(epsilon, q_const, delta_prior))
-                continue
-            slots, searches, rows = banks.setdefault(dk.shape, ([], [], []))
-            slots.append((pts, len(pts)))
-            searches.append(_prior_search(instance, epsilon, p, dk, baseline,
-                                          prior_p, rate_tol))
-            rows.append((p, log_prior, d0, dk, baseline, epsilon))
+                consts.setdefault(gi, {}).setdefault((k, j), []).append(
+                    (pts, len(pts), epsilon, delta_prior))
+            else:
+                banks.setdefault(setup.dk.shape[1:], {}).setdefault(
+                    gi, []).append((j, epsilon, pts, len(pts)))
             pts.append(None)
         points.append(pts)
-    for slots, searches, rows in banks.values():
-        stacked = [np.array(column) for column in zip(*rows)]
-        for (pts, i), point in zip(slots, _lockstep(searches, *stacked)):
-            pts[i] = point
+
+    # the rate-zero rows of each problem, once per group
+    for gi, worlds in consts.items():
+        setup = setups[gi]
+        js = [j for _, j in worlds]
+        for slots, q_const in zip(worlds.values(), _constant_rows(
+                setup.p_s[js], setup.prior[js])):
+            for pts, i, epsilon, delta_prior in slots:
+                pts[i] = _constant_point(epsilon, q_const, delta_prior)
+
+    for parts in banks.values():
+        searches, columns = [], []
+        for gi, entries in parts.items():
+            setup = setups[gi]
+            js = [j for j, *_ in entries]
+            columns.append((setup.p[js], setup.log_prior[js], setup.d0[js],
+                            setup.dk[js], setup.baseline[js],
+                            np.array([eps for _, eps, *_ in entries])))
+            searches += [_prior_search(eps, setup.p[j], setup.dk[j],
+                                       float(setup.baseline[j]),
+                                       setup.prior[j], rate_tol)
+                         for j, eps, *_ in entries]
+        results = iter(_lockstep(searches, *map(np.concatenate,
+                                                zip(*columns))))
+        # each group's finished points get their rows at once
+        for gi, entries in parts.items():
+            setup = setups[gi]
+            js = [j for j, *_ in entries]
+            done = [next(results) for _ in entries]
+            q_tildes = _posteriors(
+                _full_rows(np.array([q for q, *_ in done]), setup.prior[js],
+                           setup.keep), setup.p_s[js])
+            for (_, epsilon, pts, i), (_, rate, delta, slope, iters, gap), \
+                    q_tilde in zip(entries, done, q_tildes):
+                pts[i] = RDPoint(
+                    epsilon=epsilon, rate=max(rate, 0.0), distortion=delta,
+                    slope=slope, q_tilde=q_tilde, iterations=iters,
+                    duality_gap=gap)
     return points
 
 

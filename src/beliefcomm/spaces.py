@@ -16,6 +16,7 @@ run time.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -73,6 +74,43 @@ def _clean_rows(values, what: str) -> np.ndarray:
             r /= sums[:, None]
             return r
     return np.stack([_clean_probs(row, f"{what} {i}") for i, row in enumerate(r)])
+
+
+def _clean_stack(values, what: str | None = None) -> np.ndarray:
+    """Probability rows of stacked worlds, world b at leading index b, each
+    world cleaned as it would be alone: with what, a stack of matrices
+    cleaned as _clean_rows(world, what) cleans them; without, a stack of
+    vectors, each cleaned as a Distribution is. The stack is checked at once;
+    if it fails, the worlds are cleaned one by one, so the first bad world
+    raises its own error. A stack of one vector goes to _clean_probs alone,
+    which costs less on one row than _clean_rows. Returns a new array.
+    """
+    r = np.asarray(values, dtype=float)
+    if what is None and len(r) == 1:
+        return _clean_probs(r[0], "Distribution")[None]
+    try:
+        return _clean_rows(r.reshape(-1, r.shape[-1]), what).reshape(r.shape)
+    except NormalizationError:
+        for world in r:
+            if what is None:
+                _clean_probs(world, "Distribution")
+            else:
+                _clean_rows(world, what)
+        raise
+
+
+def _stack(arrays) -> np.ndarray:
+    """Equal-shape arrays on a new leading axis; one array is viewed, not
+    copied, so a bank of one costs no copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
+
+
+def _wrap(cls, **fields):
+    """A frozen dataclass instance holding fields already checked, built
+    without running its checks again."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -230,6 +268,16 @@ class ConceptSpace:
         return len(self.sample_names)
 
 
+def _check_loss(t: np.ndarray, l_max: float):
+    """Refuse a non-finite l_max and a loss entry outside [0, l_max], over
+    one loss tensor or a stack of them."""
+    if not math.isfinite(l_max):
+        raise NormalizationError(f"l_max must be finite, got {l_max!r}")
+    # NaN and +-inf fail one side or the other
+    if not ((t >= 0) & (t <= l_max + 1e-12)).all():
+        raise NormalizationError(f"loss entries must lie in [0, l_max={l_max}]")
+
+
 @dataclass(frozen=True)
 class HypothesisSpace:
     """Hypothesis alphabet and the loss tensor loss[c, h, z] in [0, l_max]."""
@@ -245,13 +293,7 @@ class HypothesisSpace:
                 f"loss tensor shape {t.shape} does not match hypothesis count "
                 f"{len(self.hypothesis_names)}"
             )
-        if not math.isfinite(self.l_max):
-            raise NormalizationError(f"l_max must be finite, got {self.l_max!r}")
-        # NaN and +-inf fail one side or the other
-        if not ((t >= 0) & (t <= self.l_max + 1e-12)).all():
-            raise NormalizationError(
-                f"loss entries must lie in [0, l_max={self.l_max}]"
-            )
+        _check_loss(t, self.l_max)
         t.setflags(write=False)
         object.__setattr__(self, "loss", t)
 
@@ -271,6 +313,10 @@ class ProblemInstance:
     entries; marginal is P_S; posterior[s, c] = P(concept c | dataset s) by
     Bayes. Datasets with zero marginal mass keep the concept prior as their
     posterior row, which never matters because they carry no weight.
+
+    The tables are derived by _derive, which derives a whole stack of
+    worlds of one (|C|, |Z|, |H|) shape at once; one instance is a stack of
+    one, and _bank builds a stack's instances as views into its tables.
     """
 
     concepts: ConceptSpace
@@ -283,42 +329,18 @@ class ProblemInstance:
     true_loss_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n_z, m = self.concepts.n_symbols, self.m
-        count = n_z**m
-        if count > DEFAULT_ENUMERATION_CAP:
-            raise EnumerationCapError(
-                f"dataset alphabet: |Z|^m = {n_z}^{m} = {count} exceeds cap "
-                f"{DEFAULT_ENUMERATION_CAP}"
-            )
+        _check_sizes(self.concepts.n_symbols, self.m)
         if self.hypotheses.loss.shape[0] != self.concepts.n_concepts:
             raise AlphabetMismatchError("loss tensor concept axis mismatch")
-        if self.hypotheses.loss.shape[2] != n_z:
+        if self.hypotheses.loss.shape[2] != self.concepts.n_symbols:
             raise AlphabetMismatchError("loss tensor sample axis mismatch")
-        # reshape(m, count), not (m, -1): at m = 0 there is one empty dataset
-        idx = np.indices((n_z,) * m).reshape(m, count).T
-        # log-free product; entries can be exactly zero
-        cond = np.ones((self.concepts.n_concepts, count))
-        for j in range(m):
-            cond *= self.concepts.data_law[:, idx[:, j]]
-        prior = self.concepts.prior.probs
-        marg = prior @ cond
-        post = np.divide(prior * cond.T, marg[:, None],
-                         out=np.repeat(prior[None, :], count, axis=0),
-                         where=marg[:, None] > 0)
-        # true_loss_table[c, h] = E_{z ~ p_c} loss[c, h, z], the population risk
-        # of the pure hypothesis h under concept c.
-        tl = np.einsum("cz,chz->ch", self.concepts.data_law, self.hypotheses.loss)
-        for a in (idx, cond, post, tl):
-            a.setflags(write=False)
-        object.__setattr__(self, "datasets", idx)
-        object.__setattr__(self, "conditional", cond)
-        object.__setattr__(self, "marginal", Distribution(marg))
-        object.__setattr__(self, "posterior", post)
-        object.__setattr__(self, "true_loss_table", tl)
-        gap = float(np.abs(prior[:, None] * cond
-                           - (self.p_s[:, None] * post).T).max())
-        if gap > 1e-12:
-            raise NormalizationError(f"Bayes consistency off by {gap}")
+        idx, cond, p_s, post, tl = _derive(
+            self.concepts.prior.probs[None], self.concepts.data_law[None],
+            self.hypotheses.loss[None], self.m)
+        self.__dict__.update(
+            datasets=idx, conditional=cond[0],
+            marginal=_wrap(Distribution, probs=p_s[0]), posterior=post[0],
+            true_loss_table=tl[0])
 
     @property
     def n_datasets(self) -> int:
@@ -331,6 +353,100 @@ class ProblemInstance:
     @property
     def p_s(self) -> np.ndarray:
         return self.marginal.probs
+
+
+def _check_sizes(n_z: int, m: int):
+    count = n_z**m
+    if count > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"dataset alphabet: |Z|^m = {n_z}^{m} = {count} exceeds cap "
+            f"{DEFAULT_ENUMERATION_CAP}"
+        )
+
+
+def _derive(prior, law, loss, m: int):
+    """The dataset alphabet and the tables of a stack of checked worlds.
+
+    prior (B, |C|), law (B, |C|, |Z|) and loss (B, |C|, |H|, |Z|) hold B
+    worlds of one shape, world b at index b. Returns the read-only datasets
+    (|Z|^m, m), which every world shares, and the read-only stacks of the
+    conditionals, the marginals (cleaned as a Distribution is), the
+    posteriors and the true-loss tables. Every formula is elementwise, a
+    reduction along one world's rows, or one matmul or einsum per world over
+    C-contiguous stacks, so each world gets the bits it gets alone. Raises
+    for the first world whose Bayes consistency is off.
+    """
+    n_b, n_c, n_z = law.shape
+    count = n_z**m
+    # reshape(m, count), not (m, -1): at m = 0 there is one empty dataset
+    idx = np.indices((n_z,) * m).reshape(m, count).T
+    # log-free product; entries can be exactly zero
+    cond = np.ones((n_b, n_c, count))
+    for j in range(m):
+        cond *= law[:, :, idx[:, j]]
+    marg = np.matmul(prior[:, None, :], cond)[:, 0]
+    post = np.divide(prior[:, None, :] * cond.transpose(0, 2, 1),
+                     marg[:, :, None],
+                     out=np.repeat(prior[:, None, :], count, axis=1),
+                     where=marg[:, :, None] > 0)
+    # true_loss_table[c, h] = E_{z ~ p_c} loss[c, h, z], the population risk
+    # of the pure hypothesis h under concept c.
+    tl = np.einsum("bcz,bchz->bch", law, loss)
+    p_s = _clean_stack(marg)
+    gap = np.abs(prior[:, :, None] * cond
+                 - (p_s[:, :, None] * post).transpose(0, 2, 1)).max(axis=(1, 2))
+    if (gap > 1e-12).any():
+        raise NormalizationError(
+            f"Bayes consistency off by {float(gap[gap > 1e-12][0])}")
+    for a in (idx, cond, p_s, post, tl):
+        a.setflags(write=False)
+    return idx, cond, p_s, post, tl
+
+
+@functools.cache
+def _labels(prefix: str, n: int) -> tuple[str, ...]:
+    return tuple(f"{prefix}{i}" for i in range(n))
+
+
+def _bank(prior, law, loss, m: int, l_max: float = 1.0) -> list[ProblemInstance]:
+    """The instances of a stack of worlds of one shape, named c0.., z0..,
+    h0..: prior (B, |C|), law (B, |C|, |Z|), loss (B, |C|, |H|, |Z|).
+
+    The checks of Distribution, ConceptSpace, HypothesisSpace and
+    ProblemInstance run once over the stack, the tables are derived by
+    _derive, and each world's arrays are read-only views into the stacks.
+    If any world fails a check, the worlds are built one by one through the
+    constructors, so the first bad world raises the error it raises alone.
+    """
+    loss = np.array(loss, dtype=float)
+    n_b, n_c, n_h, n_z = loss.shape
+    names = _labels("c", n_c), _labels("z", n_z), _labels("h", n_h)
+    try:
+        prior_p = _clean_stack(prior)
+        rows = _clean_stack(law, "data_law row")
+        _check_loss(loss, l_max)
+        _check_sizes(n_z, m)
+        idx, cond, p_s, post, tl = _derive(prior_p, rows, loss, m)
+    except (NormalizationError, EnumerationCapError):
+        for b in range(n_b):
+            ProblemInstance(
+                ConceptSpace(names[0], names[1], Distribution(prior[b]), law[b]),
+                HypothesisSpace(names[2], loss[b], l_max), m)
+        raise
+    for a in (prior_p, rows, loss):
+        a.setflags(write=False)
+    return [
+        _wrap(ProblemInstance,
+              concepts=_wrap(ConceptSpace, concept_names=names[0],
+                             sample_names=names[1],
+                             prior=_wrap(Distribution, probs=prior_p[b]),
+                             data_law=rows[b]),
+              hypotheses=_wrap(HypothesisSpace, hypothesis_names=names[2],
+                               loss=loss[b], l_max=l_max),
+              m=m, datasets=idx, conditional=cond[b],
+              marginal=_wrap(Distribution, probs=p_s[b]), posterior=post[b],
+              true_loss_table=tl[b])
+        for b in range(n_b)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .spaces import (
@@ -11,6 +9,7 @@ from .spaces import (
     Distribution,
     HypothesisSpace,
     ProblemInstance,
+    _bank,
 )
 
 
@@ -37,9 +36,15 @@ def two_hypothesis_world() -> ProblemInstance:
     return ProblemInstance(concepts, hyps, 1)
 
 
-@functools.cache
-def _labels(prefix: str, n: int) -> tuple[str, ...]:
-    return tuple(f"{prefix}{i}" for i in range(n))
+def _draw(rng: np.random.Generator, n_concepts: int, n_symbols: int,
+          n_hypotheses: int, concentration: float = 1.0):
+    """One world's draws: a Dirichlet prior, one Dirichlet data-law row per
+    concept, uniform losses on [0, 1]. Returns (prior, law, loss)."""
+    prior = rng.dirichlet(np.full(n_concepts, concentration))
+    # one call draws the rows one after another, as separate calls would
+    law = rng.dirichlet(np.full(n_symbols, concentration), size=n_concepts)
+    loss = rng.uniform(0.0, 1.0, size=(n_concepts, n_hypotheses, n_symbols))
+    return prior, law, loss
 
 
 def random_instance(
@@ -50,21 +55,7 @@ def random_instance(
     m: int = 1,
     concentration: float = 1.0,
 ) -> ProblemInstance:
-    """Dirichlet priors and data laws, uniform losses on [0, 1]."""
-    prior = rng.dirichlet(np.full(n_concepts, concentration))
-    law = np.stack(
-        [rng.dirichlet(np.full(n_symbols, concentration)) for _ in range(n_concepts)]
-    )
-    loss = rng.uniform(0.0, 1.0, size=(n_concepts, n_hypotheses, n_symbols))
-    concepts = ConceptSpace(
-        concept_names=_labels("c", n_concepts),
-        sample_names=_labels("z", n_symbols),
-        prior=Distribution(prior),
-        data_law=law,
-    )
-    hyps = HypothesisSpace(
-        hypothesis_names=_labels("h", n_hypotheses),
-        loss=loss,
-    )
-    return ProblemInstance(concepts, hyps, m)
-
+    """Dirichlet priors and data laws, uniform losses on [0, 1]; a bank of
+    one world."""
+    draw = _draw(rng, n_concepts, n_symbols, n_hypotheses, concentration)
+    return _bank(*(x[None] for x in draw), m)[0]

@@ -25,15 +25,19 @@ from beliefcomm import (
     LearningRule,
     Posterior,
     ProblemInstance,
+    d_sem,
     d_sem_rows,
     effective_distortion_matrix,
     fit,
     random_instance,
+    two_hypothesis_world,
 )
 from beliefcomm.channel_coding import inverse_cdf_sample
-from beliefcomm.cli import _fmt
+from beliefcomm.cli import _epsilon_grid, _fmt, _get_prior, _world_prior
 from beliefcomm.errors import NormalizationError, SupportViolationError
-from beliefcomm.rate_distortion import _kl_bits
+from beliefcomm.rate_distortion import _kl_bits, _prior_grid
+from beliefcomm.schemes import (_VERIFY_RATE_TOL, BOUND_TOL,
+                                distortion_rate_bound)
 from beliefcomm.spaces import RENORM_LIMIT, _rel_entr
 
 for _module in pkgutil.iter_modules(beliefcomm.__path__):
@@ -203,3 +207,47 @@ def write_csv_reference(path, header, rows):
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(x) for x in row])
+
+
+# verify-bound as it ran before its bank was built, fitted and set up as
+# stacks: one world at a time, each solved as a bank of one, kept as the
+# reference its end-to-end test checks the CLI's bytes against
+
+
+def verify_bound_rows_reference(cfg):
+    """The verify-bound table of a config: its header and rows."""
+    seed, count = cfg.get("seed", 0), cfg.get("instances", 20)
+    rng = philox_rng(seed)
+    world = two_hypothesis_world()
+    cases = [("alternating-world", world,
+              Posterior.from_rows(np.full((world.n_datasets, 2), 0.5), world))]
+    for i in range(count):
+        inst = random_instance(rng, n_concepts=int(rng.integers(2, 4)),
+                               n_symbols=int(rng.integers(2, 4)),
+                               n_hypotheses=int(rng.integers(2, 4)), m=1)
+        beta = float(np.exp(rng.uniform(np.log(0.5), np.log(4.0))))
+        cases.append((f"random-{i}", inst, fit(LearningRule.gibbs(beta), inst)))
+    prior = _get_prior(cfg)
+    rows = []
+    for name, instance, q_alice in cases:
+        grid = _epsilon_grid(cfg, instance.hypotheses.l_max)
+        budgets = [0.0] + [eps for eps in grid if eps != 0.0]
+        problem = (instance, q_alice, _world_prior(
+            prior, q_alice, instance.n_hypotheses, name), budgets)
+        points = dict(zip(budgets, _prior_grid([problem],
+                                               rate_tol=_VERIFY_RATE_TOL)[0]))
+        r_star = points[0.0].rate
+        q_measured = rate = None
+        for eps in grid:
+            point = points[eps]
+            if point.q_tilde is not q_measured or point.rate != rate:
+                q_measured, rate = point.q_tilde, point.rate
+                delta_r = max(r_star - rate, 0.0)
+                bound = distortion_rate_bound(delta_r,
+                                              instance.hypotheses.l_max)
+                measured = d_sem(q_alice, q_measured, instance)
+            assert measured <= bound + BOUND_TOL
+            rows.append((name, eps, point.rate, r_star, delta_r, bound,
+                         measured, bound - measured, True))
+    return (["instance_id", "epsilon", "rate_bits", "r_star_bits",
+             "delta_r_bits", "bound", "measured", "margin", "ok"], rows)

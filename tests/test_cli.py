@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from beliefcomm import problem_instance_to_json, random_instance
 from beliefcomm.cli import _write_csv, main
-from conftest import write_csv_reference
+from conftest import verify_bound_rows_reference, write_csv_reference
 
 
 @pytest.fixture
@@ -398,19 +398,23 @@ def test_bound_violation_in_a_bank_names_its_world(tmp_path, capsys,
                                                    monkeypatch):
     """A violation on a world that is not first in the bank names that
     world and writes that world's instance."""
-    from beliefcomm import schemes
+    from beliefcomm import cli, schemes
 
     seen = []
 
-    def d_sem(q_alice, q_receiver, instance):
-        if not seen or seen[-1] is not instance:
-            seen.append(instance)
-        if len(seen) == 3:
-            return 2.0
-        return true_d_sem(q_alice, q_receiver, instance)
+    def random_bank(rng, count):
+        worlds = true_random_bank(rng, count)
+        seen.extend(inst for inst, _ in worlds)
+        return worlds
 
-    true_d_sem = schemes.d_sem
-    monkeypatch.setattr(schemes, "d_sem", d_sem)
+    def d_sem_bank(instances, sender_rows, receiver_rows):
+        # the bank's third world is random-1
+        return np.where([inst is seen[1] for inst in instances], 2.0,
+                        true_d_sem_bank(instances, sender_rows, receiver_rows))
+
+    true_random_bank, true_d_sem_bank = cli._random_bank, schemes._d_sem_bank
+    monkeypatch.setattr(cli, "_random_bank", random_bank)
+    monkeypatch.setattr(schemes, "_d_sem_bank", d_sem_bank)
     out = tmp_path / "o"
     assert main(["verify-bound", "--instances", "4", "--out", str(out)]) == 3
     repro = out / "violation.json"
@@ -419,7 +423,7 @@ def test_bound_violation_in_a_bank_names_its_world(tmp_path, capsys,
                           "exceeds ceiling ")
     assert err.endswith(f"; instance in {repro}\n")
     written = json.loads(repro.read_text())
-    assert written == json.loads(json.dumps(problem_instance_to_json(seen[2])))
+    assert written == json.loads(json.dumps(problem_instance_to_json(seen[1])))
     assert written != json.loads(json.dumps(problem_instance_to_json(seen[0])))
     assert not (out / "verify-bound.csv").exists()
 
@@ -512,13 +516,52 @@ _CSV_CELLS = st.one_of(
                      max_size=5))
 def test_write_csv_matches_the_fmt_rows(rows):
     """Native cells go to csv.writer as they are and give the bytes that
-    _fmt gave; every other cell still goes through _fmt."""
+    _fmt gave; every other cell still goes through _fmt. Each distinct float
+    is formatted once per file, and a column of zeros of both signs, nans
+    and infinities keeps each cell's own text."""
+    rows = rows + [(x, 1.5) for x in (0.0, -0.0, math.nan, math.inf, -0.0,
+                                      -math.inf, 0.0, float("nan"), 1.5)]
     header = ["a", "b,c", 'd"e']
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
         _write_csv(got, header, rows)
         write_csv_reference(want, header, rows)
         assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("cfg", [
+    {"instances": 200, "seed": 1000},
+    {"instances": 200, "seed": 1001, "prior": "uniform"},
+], ids=["seed-1000", "seed-1001-uniform"])
+def test_verify_bound_bytes_match_the_one_world_path(tmp_path, cfg):
+    """The bank built, fitted, set up and measured as one stack per shape
+    writes the bytes of the path that took its worlds one at a time."""
+    argv = [f"--{key}={value}" for key, value in cfg.items()]
+    out = tmp_path / "o"
+    assert main(["verify-bound", *argv, "--out", str(out)]) == 0
+    want = tmp_path / "want.csv"
+    write_csv_reference(want, *verify_bound_rows_reference(cfg))
+    assert (out / "verify-bound.csv").read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[true, false]", "bad prior: booleans are not probabilities"),
+    ('{"a": 1}', "bad prior: need a list of probabilities"),
+    ('[{"a": 1}]', "bad prior: "),
+    ('"uniform"', "bad prior: need a list of probabilities"),
+], ids=["booleans", "object", "list-of-objects", "string"])
+def test_prior_file_gets_the_config_list_checks(tmp_path, instance_file,
+                                                capsys, text, message):
+    """A prior file's contents are checked as a prior list in the config
+    is: booleans ran as the prior [1, 0], and an object crashed with a
+    TypeError traceback."""
+    prior = tmp_path / "prior.json"
+    prior.write_text(text)
+    out = tmp_path / "o"
+    assert main(["rd-curve", "--instance", instance_file, "--prior",
+                 str(prior), "--out", str(out)]) == 2
+    assert f"config error: /prior: {message}" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_block_rows_report_the_block_coder(tmp_path):

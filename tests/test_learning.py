@@ -16,7 +16,11 @@ from beliefcomm import (
     two_hypothesis_world,
 )
 from beliefcomm.errors import ConfigError, NormalizationError
-from beliefcomm.learning import dataset_scores
+from beliefcomm.learning import (_d_sem_bank, _effective_bank, _fit_bank,
+                                 _posteriors, dataset_scores)
+from beliefcomm.spaces import (ConceptSpace, Distribution, HypothesisSpace,
+                               ProblemInstance, _bank, _labels)
+from beliefcomm.worlds import _draw
 from conftest import random_rows
 
 
@@ -195,3 +199,105 @@ def test_posterior_rows_renormalise_a_small_drift():
     np.testing.assert_array_equal(np.delete(q.rows, 2, axis=0), 0.5)
     assert rows[2, 1] == 0.5 + 8e-10  # the caller's array is left alone
     assert not q.rows.flags.writeable
+
+
+_SHAPES = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+                    st.integers(1, 3))
+
+
+@st.composite
+def _world_banks(draw):
+    """Mixed-shape worlds drawn as random_instance draws them, a few shapes
+    (|C|, |Z|, |H|, m) shared among them: concentrations down to 0.02, so
+    that datasets of zero mass occur, hypotheses tied on every loss, and
+    gibbs senders at beta 0 to 1e6 or erm ones."""
+    shapes = draw(st.lists(_SHAPES, min_size=1, max_size=3))
+    bank = []
+    for _ in range(draw(st.integers(1, 8))):
+        n_c, n_z, n_h, m = draw(st.sampled_from(shapes))
+        prior, law, loss = _draw(
+            _rng(draw(st.integers(0, 2**32 - 1))), n_c, n_z, n_h,
+            draw(st.sampled_from([0.02, 0.05, 0.3, 1.0, 2.0])))
+        if n_h > 1 and draw(st.booleans()):
+            loss[:, 1] = loss[:, 0]
+        rule = draw(st.sampled_from(["gibbs", "erm"]))
+        beta = draw(st.sampled_from([0.0, 0.5, 3.0, 1e3, 1e6]))
+        bank.append(((n_c, n_z, n_h, m, rule), beta, prior, law, loss))
+    return bank
+
+
+def _alone(prior, law, loss, m):
+    """One world through the constructors."""
+    n_c, n_h, n_z = loss.shape
+    return ProblemInstance(
+        ConceptSpace(_labels("c", n_c), _labels("z", n_z), Distribution(prior),
+                     law),
+        HypothesisSpace(_labels("h", n_h), loss), m)
+
+
+def _same(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert np.array_equal(a, b, equal_nan=True)
+    assert not a.flags.writeable and not b.flags.writeable
+
+
+def _raised(build):
+    with pytest.raises(Exception) as err:
+        build()
+    return type(err.value), str(err.value)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(bank=_world_banks(),
+       defect=st.sampled_from([None, "prior", "law", "loss", "rows"]),
+       at=st.integers(0, 7))
+def test_stacked_bank_matches_one_world_at_a_time(bank, defect, at):
+    """Each shape group of a bank, built, fitted and reduced as one stack,
+    gives every world the bits, all read-only, of that world built and
+    fitted alone; a bank holding one bad world raises what it raises
+    alone."""
+    at %= len(bank)
+    groups = {}
+    for i, (key, *_) in enumerate(bank):
+        groups.setdefault(key, []).append(i)
+    for (*_, m, rule), members in groups.items():
+        beta, prior, law, loss = (np.array([bank[i][k] for i in members])
+                                  for k in range(1, 5))
+        bad = members.index(at) if at in members else None
+        if bad is not None and defect in ("prior", "law", "loss"):
+            # a negative entry in the bad world's prior, data law or loss
+            {"prior": prior, "law": law, "loss": loss}[defect][bad].flat[0] \
+                = -0.5
+            assert _raised(lambda: _bank(prior, law, loss, m)) == _raised(
+                lambda: _alone(prior[bad], law[bad], loss[bad], m))
+            continue
+        instances = _bank(prior, law, loss, m)
+        senders = _fit_bank(rule, beta, instances)
+        alone = [_alone(*x, m) for x in zip(prior, law, loss)]
+        alone_senders = [fit(LearningRule.gibbs(b) if rule == "gibbs"
+                             else LearningRule.erm(), w)
+                         for b, w in zip(beta, alone)]
+        for w, w1, q, q1 in zip(instances, alone, senders, alone_senders):
+            for name in ("datasets", "conditional", "p_s", "posterior",
+                         "true_loss_table"):
+                _same(getattr(w, name), getattr(w1, name))
+            _same(w.concepts.prior.probs, w1.concepts.prior.probs)
+            _same(w.concepts.data_law, w1.concepts.data_law)
+            _same(w.hypotheses.loss, w1.hypotheses.loss)
+            _same(q.rows, q1.rows)
+            _same(q.marginal.probs, q1.marginal.probs)
+        rows = np.array([q.rows for q in senders])
+        flat = np.full_like(rows, 1.0 / rows.shape[2])
+        dmat, baseline = _effective_bank(instances, rows)
+        distortion = _d_sem_bank(instances, rows, flat)
+        for b, (w1, q1) in enumerate(zip(alone, alone_senders)):
+            dmat1, baseline1 = effective_distortion_matrix(w1, q1)
+            assert dmat[b].tobytes() == dmat1.tobytes()
+            assert float(baseline[b]) == baseline1
+            assert float(distortion[b]) == d_sem(
+                q1, Posterior.from_rows(flat[b], w1), w1)
+        if bad is not None and defect == "rows":
+            rows[bad, -1, 0] = np.nan
+            p_s = np.array([w.p_s for w in instances])
+            assert _raised(lambda: _posteriors(rows, p_s)) == _raised(
+                lambda: Posterior.from_rows(rows[bad], alone[bad]))

@@ -300,8 +300,9 @@ def _solve_with_prior_alone(instance, q_sender, epsilon, prior):
         raise SupportViolationError("unreachable")
     delta_prior = float(p @ (dk @ prior_p)) - baseline
     if delta_prior <= epsilon + FEAS_DUST:
-        return _constant_point(epsilon, _constant_rows(instance, prior_p),
-                               delta_prior)
+        return _constant_point(
+            epsilon, _constant_rows(instance.p_s[None], prior_p[None])[0],
+            delta_prior)
     log_prior = np.full_like(prior_p, -np.inf)
     log_prior[supp] = np.log(prior_p[supp])
 
@@ -380,7 +381,9 @@ def _prior_grid_one_world(instance, q_sender, prior, epsilons,
         if delta_prior <= epsilon + FEAS_DUST:
             if const is None:
                 const = _constant_point(
-                    epsilon, _constant_rows(instance, prior_p), delta_prior)
+                    epsilon,
+                    _constant_rows(instance.p_s[None], prior_p[None])[0],
+                    delta_prior)
             points.append(dataclasses.replace(
                 const, epsilon=epsilon, distortion=min(delta_prior, epsilon)))
             continue
