@@ -455,8 +455,7 @@ def _cmd_verify_bound(cfg, with_oracle):
     except BoundViolationError as e:
         raise BoundViolationError(f"bound violated on {cases[e.case][0]}: {e}",
                                   e.instance_json) from e
-    rows = [(name, c.epsilon, c.rate, c.r_star, c.delta_r, c.bound, c.measured,
-             c.margin, c.ok)
+    rows = [(name, *c, c.margin, c.ok)
             for (name, *_), checks in zip(cases, checked) for c in checks]
     return (["instance_id", "epsilon", "rate_bits", "r_star_bits",
              "delta_r_bits", "bound", "measured", "margin", "ok"], rows), None

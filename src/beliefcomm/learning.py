@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AlphabetMismatchError, ConfigError
 from .spaces import (Distribution, ProblemInstance, _clean_stack,
-                     _logsumexp_rows, _number, _stack, _table, _wrap)
+                     _logsumexp_rows, _number, _table, _wrap)
 
 ERM_TIE_TOL = 1e-12
 
@@ -111,10 +111,10 @@ def _scores(instances) -> np.ndarray:
     first = instances[0]
     # emp[b, c, h, s] = mean_j loss[b, c, h, z_j], summed and divided by m
     # as mean(axis=4) computes it
-    emp = _stack([w.hypotheses.loss for w in instances])[
+    emp = np.array([w.hypotheses.loss for w in instances])[
         :, :, :, first.datasets].sum(axis=4) / first.m
-    return np.einsum("bsc,bchs->bsh", _stack([w.posterior for w in instances]),
-                     emp)
+    return np.einsum("bsc,bchs->bsh",
+                     np.array([w.posterior for w in instances]), emp)
 
 
 def _rule_rows(kind: str, beta, scores: np.ndarray, m: int) -> np.ndarray:
@@ -150,7 +150,7 @@ def _fit_bank(kind: str, beta, instances) -> list[Posterior]:
         beta = beta[:, None, None]
     return _posteriors(
         _rule_rows(kind, beta, _scores(instances), instances[0].m),
-        _stack([w.p_s for w in instances]))
+        np.array([w.p_s for w in instances]))
 
 
 def d_sem(q_sender: Posterior, q_receiver: Posterior, instance: ProblemInstance) -> float:
@@ -161,22 +161,11 @@ def d_sem(q_sender: Posterior, q_receiver: Posterior, instance: ProblemInstance)
     """
     _check_rows(q_sender, instance)
     _check_rows(q_receiver, instance)
-    return _d_sem_bank([instance], q_sender.rows[None],
-                       q_receiver.rows[None])[0]
-
-
-def _d_sem_bank(instances, sender_rows, receiver_rows) -> list[float]:
-    """d_sem of each world of one shape, between stacked rows (B, |S|, |H|)
-    already checked against it."""
     # joint weight over (c, s) = P_C(c) P(s|c); contract against the
     # per-concept population risks of each row.
-    weight = _stack([x.concepts.prior.probs for x in instances])[:, :, None] \
-        * _stack([x.conditional for x in instances])  # (b, c, s)
-    # one contraction per world: where an axis has length 1, the stacked
-    # einsum "bcs,bsh,bch->b" adds in another order than a world's own
-    return [float(np.einsum("cs,sh,ch->", *x)) for x in zip(
-        weight, receiver_rows - sender_rows,
-        _stack([x.true_loss_table for x in instances]))]
+    w = instance.concepts.prior.probs[:, None] * instance.conditional  # (c, s)
+    diff = q_receiver.rows - q_sender.rows  # (s, h)
+    return float(np.einsum("cs,sh,ch->", w, diff, instance.true_loss_table))
 
 
 def effective_distortion_matrix(instance: ProblemInstance,
@@ -198,10 +187,10 @@ def effective_distortion_matrix(instance: ProblemInstance,
 def _effective_bank(instances, sender_rows):
     """effective_distortion_matrix of each world of one shape, with sender
     rows (B, |S|, |H|) already checked against it: stacked D and baselines."""
-    dmat = np.matmul(_stack([w.posterior for w in instances]),
-                     _stack([w.true_loss_table for w in instances]))
+    dmat = np.matmul(np.array([w.posterior for w in instances]),
+                     np.array([w.true_loss_table for w in instances]))
     return dmat, np.einsum("bs,bsh,bsh->b",
-                           _stack([w.p_s for w in instances]), sender_rows,
+                           np.array([w.p_s for w in instances]), sender_rows,
                            dmat)
 
 

@@ -36,8 +36,7 @@ import numpy as np
 from .errors import ConvergenceError, InvariantViolationError, SupportViolationError
 from .learning import (Posterior, _check_rows, _effective_bank, _posteriors,
                        effective_distortion_matrix)
-from .spaces import (Distribution, ProblemInstance, _logsumexp_rows, _rel_entr,
-                     _stack)
+from .spaces import Distribution, ProblemInstance, _logsumexp_rows, _rel_entr
 
 LOG2 = math.log(2.0)
 
@@ -182,9 +181,7 @@ def _point(instance, epsilon, q, ref_row, rate, distortion, slope, iters,
 def _full_rows(q, ref, keep):
     """Rows on every dataset of stacked worlds that share the mask keep of
     positive-mass datasets: q (B, kept, |H|) on those, ref (B, |H|) on the
-    rest."""
-    if keep.all():
-        return q
+    rest. Returns a new array, also when every dataset is kept."""
     rows = np.repeat(ref[:, None, :], keep.size, axis=1)
     rows[:, keep] = q
     return rows
@@ -502,6 +499,7 @@ class _PriorSetup(NamedTuple):
     d0: np.ndarray  # dk with each row shifted to minimum 0 on the support
     d_inf: np.ndarray  # (n,) least distortion inside the prior's support
     delta_prior: np.ndarray  # (n,) distortion of the prior row itself
+    const: list[Posterior]  # the prior row on every dataset: rate zero
 
 
 def _prior_setup(problems) -> _PriorSetup:
@@ -510,9 +508,9 @@ def _prior_setup(problems) -> _PriorSetup:
     stacks."""
     instances = [instance for instance, *_ in problems]
     dk, baseline = _effective_bank(instances,
-                                   _stack([q.rows for _, q, _ in problems]))
-    p = p_s = _stack([instance.p_s for instance in instances])
-    prior = _stack([prior.probs for *_, prior in problems])
+                                   np.array([q.rows for _, q, _ in problems]))
+    p = p_s = np.array([instance.p_s for instance in instances])
+    prior = np.array([prior.probs for *_, prior in problems])
     keep = p_s[0] > 0
     if not keep.all():
         # compress, not dk[:, keep], whose result is not C-contiguous and
@@ -527,7 +525,7 @@ def _prior_setup(problems) -> _PriorSetup:
         log_prior=log_prior, d0=dk - d_min[:, :, None],
         d_inf=_dots(p, d_min) - baseline,
         delta_prior=_dots(p, np.matmul(dk, prior[:, :, None])[:, :, 0])
-        - baseline)
+        - baseline, const=_constant_rows(p_s, prior))
 
 
 def _dots(a, b):
@@ -540,17 +538,16 @@ def _prior_grid(problems, rate_tol=DEFAULT_RATE_TOL) -> list[list[RDPoint]]:
     """solve_rd_with_prior over a bank of problems (instance, sender, prior,
     budgets), each set up once, every search of the bank in lockstep.
 
-    The distortion rows, the prior's reach and log, and the rate-zero point
+    The distortion rows, the prior's reach and log, and the rate-zero rows
     depend on the instance, the sender and the prior alone, and are set up
     at once for each group of problems whose shapes and positive-mass
-    datasets agree; every budget the prior row meets shares its problem's
-    one rate-zero point, with its own epsilon. The other budgets are
-    searched together: the searches whose kept-dataset x hypothesis shape
-    agree share one batched tilt per multiplier step, and the finished
-    points of each group get their rows at once, which gives each search
-    the bits it gets alone. Problems and budgets are checked in order, so
-    the first bad one raises. Returns each problem's points in budget
-    order.
+    datasets agree; every budget the prior row meets gets its problem's one
+    rate-zero q_tilde, with its own epsilon. The other budgets are searched
+    together: the searches whose kept-dataset x hypothesis shape agree share
+    one batched tilt per multiplier step, and the finished points of each
+    group get their rows at once, which gives each search the bits it gets
+    alone. Problems and budgets are checked in order, so the first bad one
+    raises. Returns each problem's points in budget order.
     """
     groups = {}
     for k, (instance, q_sender, prior, _) in enumerate(problems):
@@ -564,7 +561,7 @@ def _prior_grid(problems, rate_tol=DEFAULT_RATE_TOL) -> list[list[RDPoint]]:
         where.update((k, (len(setups), j)) for j, k in enumerate(members))
         setups.append(_prior_setup([problems[k][:3] for k in members]))
 
-    points, consts, banks = [], {}, {}
+    points, banks = [], {}
     for k, (instance, q_sender, prior, epsilons) in enumerate(problems):
         if k not in where:
             _check_rows(q_sender, instance)
@@ -582,22 +579,13 @@ def _prior_grid(problems, rate_tol=DEFAULT_RATE_TOL) -> list[list[RDPoint]]:
                     f"(best achievable {d_inf}); the rate is infinite"
                 )
             if delta_prior <= epsilon + FEAS_DUST:
-                consts.setdefault(gi, {}).setdefault((k, j), []).append(
-                    (pts, len(pts), epsilon, delta_prior))
+                pts.append(_constant_point(epsilon, setup.const[j],
+                                           delta_prior))
             else:
                 banks.setdefault(setup.dk.shape[1:], {}).setdefault(
                     gi, []).append((j, epsilon, pts, len(pts)))
-            pts.append(None)
+                pts.append(None)
         points.append(pts)
-
-    # the rate-zero rows of each problem, once per group
-    for gi, worlds in consts.items():
-        setup = setups[gi]
-        js = [j for _, j in worlds]
-        for slots, q_const in zip(worlds.values(), _constant_rows(
-                setup.p_s[js], setup.prior[js])):
-            for pts, i, epsilon, delta_prior in slots:
-                pts[i] = _constant_point(epsilon, q_const, delta_prior)
 
     for parts in banks.values():
         searches, columns = [], []

@@ -19,17 +19,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BoundViolationError, InvariantViolationError
-from .learning import (LearningRule, Posterior, _d_sem_bank, _rule_rows,
-                       d_sem, dataset_scores)
+from .learning import (LearningRule, Posterior, _rule_rows, d_sem,
+                       dataset_scores)
 from .rate_distortion import _prior_grid, solve_dr, solve_rd
 from .spaces import (
     ProblemInstance,
     _clean_rows,
-    _stack,
     mutual_information,
     problem_instance_to_json,
 )
@@ -192,8 +192,7 @@ def compare_schemes(instance: ProblemInstance, q_alice: Posterior,
     return reports
 
 
-@dataclass(frozen=True)
-class BoundCheckRow:
+class BoundCheckRow(NamedTuple):
     epsilon: float
     rate: float
     r_star: float
@@ -216,13 +215,12 @@ def verify_bound(cases) -> list[list[BoundCheckRow]]:
 
     A case's reference rate is its budget-zero optimum under its prior. The
     whole bank's budgets are solved in one lockstep call of the prior
-    solver, which sets up each group of cases of one shape at once. Measured
-    distortion is recomputed from the distortion definition, not read off
-    the solver, so the check crosses two code paths: once per distinct
-    solved point of a case, in one stacked d_sem per shape group. The checks
-    then run case by case. Any violation beyond BOUND_TOL raises with the
-    serialized instance and the case's index in the bank attached. Returns
-    each case's rows.
+    solver; the checks then run case by case. Measured distortion is
+    recomputed from the distortion definition, not read off the solver, so
+    the check crosses two code paths: one d_sem per distinct solved point
+    of a case, which the budgets the prior row meets share. Any violation
+    beyond BOUND_TOL raises with the serialized instance and the case's
+    index in the bank attached. Returns each case's rows.
     """
     grids = [[float(eps) for eps in grid] for *_, grid in cases]
     # a budget of 0 is the reference point itself; the solve is deterministic
@@ -231,51 +229,31 @@ def verify_bound(cases) -> list[list[BoundCheckRow]]:
         [(instance, q_alice, prior, b)
          for (instance, q_alice, prior, _), b in zip(cases, budgets)],
         rate_tol=_VERIFY_RATE_TOL)
-    # each case's points in grid order, and its distinct (q_tilde, rate)
-    # runs: budgets the prior row meets share one q_tilde, at rate 0
-    rows_of, groups = [], {}
+    checked = []
     for case, ((instance, q_alice, *_), grid, b, pts) in enumerate(
             zip(cases, grids, budgets, solved)):
         points = dict(zip(b, pts))
-        runs, last = [], None
+        r_star = points[0.0].rate
+        rows = []
+        q_measured = rate = None
         for eps in grid:
             point = points[eps]
-            if last is None or point.q_tilde is not last.q_tilde \
-                    or point.rate != last.rate:
-                last = point
-                runs.append([point, None, []])
-            runs[-1][2].append((eps, point))
-        rows_of.append((points[0.0].rate, runs))
-        shape = instance.n_datasets, instance.n_hypotheses, \
-            instance.concepts.n_concepts
-        groups.setdefault(shape, []).extend((case, run) for run in runs)
-    for members in groups.values():
-        measured = _d_sem_bank(
-            [cases[case][0] for case, _ in members],
-            _stack([cases[case][1].rows for case, _ in members]),
-            _stack([run[0].q_tilde.rows for _, run in members]))
-        for (_, run), value in zip(members, measured):
-            run[1] = value
-
-    checked = []
-    for case, ((instance, *_), (r_star, runs)) in enumerate(zip(cases,
-                                                               rows_of)):
-        rows = []
-        for first, measured, grid in runs:
-            delta_r = max(r_star - first.rate, 0.0)
-            bound = distortion_rate_bound(delta_r, instance.hypotheses.l_max)
-            for eps, point in grid:
-                if measured > bound + BOUND_TOL:
-                    raise BoundViolationError(
-                        f"distortion {measured} exceeds ceiling {bound} + "
-                        f"{BOUND_TOL} at eps={eps} (rate {point.rate}, "
-                        f"reference {r_star})",
-                        instance_json=problem_instance_to_json(instance),
-                        case=case,
-                    )
-                rows.append(BoundCheckRow(
-                    epsilon=eps, rate=point.rate, r_star=r_star,
-                    delta_r=delta_r, bound=bound, measured=measured,
-                ))
+            # budgets the prior row meets share one q_tilde, at rate 0
+            if point.q_tilde is not q_measured or point.rate != rate:
+                q_measured, rate = point.q_tilde, point.rate
+                delta_r = max(r_star - rate, 0.0)
+                bound = distortion_rate_bound(delta_r,
+                                              instance.hypotheses.l_max)
+                measured = d_sem(q_alice, q_measured, instance)
+            if measured > bound + BOUND_TOL:
+                raise BoundViolationError(
+                    f"distortion {measured} exceeds ceiling {bound} + "
+                    f"{BOUND_TOL} at eps={eps} (rate {point.rate}, "
+                    f"reference {r_star})",
+                    instance_json=problem_instance_to_json(instance),
+                    case=case,
+                )
+            rows.append(BoundCheckRow(eps, point.rate, r_star, delta_r,
+                                      bound, measured))
         checked.append(rows)
     return checked

@@ -80,14 +80,11 @@ def _clean_stack(values, what: str | None = None) -> np.ndarray:
     """Probability rows of stacked worlds, world b at leading index b, each
     world cleaned as it would be alone: with what, a stack of matrices
     cleaned as _clean_rows(world, what) cleans them; without, a stack of
-    vectors, each cleaned as a Distribution is. The stack is checked at once;
-    if it fails, the worlds are cleaned one by one, so the first bad world
-    raises its own error. A stack of one vector goes to _clean_probs alone,
-    which costs less on one row than _clean_rows. Returns a new array.
+    vectors, each cleaned as a Distribution is. The stack is checked at once,
+    a bank of one included; if it fails, the worlds are cleaned one by one,
+    so the first bad world raises its own error. Returns a new array.
     """
     r = np.asarray(values, dtype=float)
-    if what is None and len(r) == 1:
-        return _clean_probs(r[0], "Distribution")[None]
     try:
         return _clean_rows(r.reshape(-1, r.shape[-1]), what).reshape(r.shape)
     except NormalizationError:
@@ -97,12 +94,6 @@ def _clean_stack(values, what: str | None = None) -> np.ndarray:
             else:
                 _clean_rows(world, what)
         raise
-
-
-def _stack(arrays) -> np.ndarray:
-    """Equal-shape arrays on a new leading axis; one array is viewed, not
-    copied, so a bank of one costs no copy."""
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 def _wrap(cls, **fields):
@@ -408,9 +399,10 @@ def _labels(prefix: str, n: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(n))
 
 
-def _bank(prior, law, loss, m: int, l_max: float = 1.0) -> list[ProblemInstance]:
+def _bank(prior, law, loss, m: int) -> list[ProblemInstance]:
     """The instances of a stack of worlds of one shape, named c0.., z0..,
-    h0..: prior (B, |C|), law (B, |C|, |Z|), loss (B, |C|, |H|, |Z|).
+    h0.., with losses in [0, 1] (l_max 1): prior (B, |C|), law (B, |C|,
+    |Z|), loss (B, |C|, |H|, |Z|).
 
     The checks of Distribution, ConceptSpace, HypothesisSpace and
     ProblemInstance run once over the stack, the tables are derived by
@@ -424,14 +416,14 @@ def _bank(prior, law, loss, m: int, l_max: float = 1.0) -> list[ProblemInstance]
     try:
         prior_p = _clean_stack(prior)
         rows = _clean_stack(law, "data_law row")
-        _check_loss(loss, l_max)
+        _check_loss(loss, 1.0)
         _check_sizes(n_z, m)
         idx, cond, p_s, post, tl = _derive(prior_p, rows, loss, m)
     except (NormalizationError, EnumerationCapError):
         for b in range(n_b):
             ProblemInstance(
                 ConceptSpace(names[0], names[1], Distribution(prior[b]), law[b]),
-                HypothesisSpace(names[2], loss[b], l_max), m)
+                HypothesisSpace(names[2], loss[b]), m)
         raise
     for a in (prior_p, rows, loss):
         a.setflags(write=False)
@@ -442,7 +434,7 @@ def _bank(prior, law, loss, m: int, l_max: float = 1.0) -> list[ProblemInstance]
                              prior=_wrap(Distribution, probs=prior_p[b]),
                              data_law=rows[b]),
               hypotheses=_wrap(HypothesisSpace, hypothesis_names=names[2],
-                               loss=loss[b], l_max=l_max),
+                               loss=loss[b], l_max=1.0),
               m=m, datasets=idx, conditional=cond[b],
               marginal=_wrap(Distribution, probs=p_s[b]), posterior=post[b],
               true_loss_table=tl[b])

@@ -407,14 +407,14 @@ def test_bound_violation_in_a_bank_names_its_world(tmp_path, capsys,
         seen.extend(inst for inst, _ in worlds)
         return worlds
 
-    def d_sem_bank(instances, sender_rows, receiver_rows):
+    def d_sem(q_sender, q_receiver, instance):
         # the bank's third world is random-1
-        return np.where([inst is seen[1] for inst in instances], 2.0,
-                        true_d_sem_bank(instances, sender_rows, receiver_rows))
+        return 2.0 if instance is seen[1] else true_d_sem(q_sender, q_receiver,
+                                                          instance)
 
-    true_random_bank, true_d_sem_bank = cli._random_bank, schemes._d_sem_bank
+    true_random_bank, true_d_sem = cli._random_bank, schemes.d_sem
     monkeypatch.setattr(cli, "_random_bank", random_bank)
-    monkeypatch.setattr(schemes, "_d_sem_bank", d_sem_bank)
+    monkeypatch.setattr(schemes, "d_sem", d_sem)
     out = tmp_path / "o"
     assert main(["verify-bound", "--instances", "4", "--out", str(out)]) == 3
     repro = out / "violation.json"

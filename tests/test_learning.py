@@ -16,8 +16,8 @@ from beliefcomm import (
     two_hypothesis_world,
 )
 from beliefcomm.errors import ConfigError, NormalizationError
-from beliefcomm.learning import (_d_sem_bank, _effective_bank, _fit_bank,
-                                 _posteriors, dataset_scores)
+from beliefcomm.learning import (_effective_bank, _fit_bank, _posteriors,
+                                 dataset_scores)
 from beliefcomm.spaces import (ConceptSpace, Distribution, HypothesisSpace,
                                ProblemInstance, _bank, _labels)
 from beliefcomm.worlds import _draw
@@ -289,7 +289,8 @@ def test_stacked_bank_matches_one_world_at_a_time(bank, defect, at):
         rows = np.array([q.rows for q in senders])
         flat = np.full_like(rows, 1.0 / rows.shape[2])
         dmat, baseline = _effective_bank(instances, rows)
-        distortion = _d_sem_bank(instances, rows, flat)
+        distortion = [d_sem(q, Posterior.from_rows(f, w), w)
+                      for w, q, f in zip(instances, senders, flat)]
         for b, (w1, q1) in enumerate(zip(alone, alone_senders)):
             dmat1, baseline1 = effective_distortion_matrix(w1, q1)
             assert dmat[b].tobytes() == dmat1.tobytes()

@@ -464,6 +464,24 @@ def test_lockstep_bank_matches_one_world_at_a_time(bank):
                         for pt in _prior_grid_one_world(*problem)]
 
 
+def test_prior_grid_gives_a_problem_one_rate_zero_row():
+    """Every budget the prior row meets gets its problem's one q_tilde
+    object; every other problem gets its own, a repeat of a problem in the
+    bank included."""
+    problems = []
+    for seed in (11, 12):
+        inst, q, _ = _sharp_sender(seed)
+        dmat, base = effective_distortion_matrix(inst, q)
+        delta_prior = float(inst.p_s @ (dmat @ q.marginal.probs)) - base
+        problems.append((inst, q, q.marginal,
+                         [f * delta_prior for f in (0.5, 1.0, 1.5, 3.0)]))
+    solved = _prior_grid([problems[0], problems[1], problems[0]])
+    for pts in solved:
+        assert pts[0].rate > 0.0 and pts[0].q_tilde is not pts[1].q_tilde
+        assert pts[1].q_tilde is pts[2].q_tilde is pts[3].q_tilde
+    assert len({id(pts[1].q_tilde) for pts in solved}) == len(solved)
+
+
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(n_s=st.integers(1, 6), n_h=st.integers(1, 5),
        slope=st.one_of(st.floats(0.0, SLOPE_MAX),

@@ -236,3 +236,25 @@ def test_verify_bound_rows_match_one_budget_solves():
         pt = solve_rd_with_prior(inst, q, eps, q.marginal, rate_tol=1e-8)
         assert (row.epsilon, row.rate, row.measured) == \
             (eps, pt.rate, d_sem(q, pt.q_tilde, inst))
+
+
+def test_verify_bound_measures_each_distinct_point_once(monkeypatch):
+    """verify_bound calls d_sem once per distinct solved point of a case:
+    on the grid above, once for each of the three searched budgets and once
+    for the rate-zero row the last three budgets share."""
+    from beliefcomm import schemes
+
+    receivers = []
+
+    def counted(q_sender, q_receiver, instance):
+        receivers.append(q_receiver)
+        return d_sem(q_sender, q_receiver, instance)
+
+    monkeypatch.setattr(schemes, "d_sem", counted)
+    inst, q, _ = sharp_sender(11)
+    dmat, base = effective_distortion_matrix(inst, q)
+    delta_prior = float(inst.p_s @ (dmat @ q.marginal.probs)) - base
+    grid = [f * delta_prior for f in (0.0, 0.25, 0.5, 1.0, 1.5, 3.0)]
+    [rows] = verify_bound([(inst, q, q.marginal, grid)])
+    assert len(receivers) == len({id(x) for x in receivers}) == 4
+    assert [row.measured for row in rows[3:]] == [rows[3].measured] * 3
