@@ -12,7 +12,6 @@ invariant, bound, or oracle check fails.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -77,10 +76,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-# cells csv.writer writes as _fmt would: str() of a float is its repr
-_NATIVE = (str, int, float)
-
-
 class _FloatText(dict):
     """The repr of each float looked up, computed once."""
 
@@ -90,17 +85,32 @@ class _FloatText(dict):
 
 
 def _write_csv(path: Path, header, rows):
+    """Write the header and rows in one call, as csv.writer's default
+    dialect writes each cell's _fmt text: a field holding a comma, a quote,
+    CR or LF is quoted with its quotes doubled, and a row of one empty field
+    reads "". A float, str or bool of exact type gets _fmt's text inline;
+    np.float64 and the rest go through _fmt. Each distinct nonzero float is
+    formatted once per file; a zero is not looked up, since -0.0 == 0.0 as
+    dict keys and each keeps its own repr."""
     text = _FloatText()
+    lines = []
+    for row in (header, *rows):
+        cells = [(text[x] if x else repr(x)) if type(x) is float
+                 else x if type(x) is str
+                 else ("1" if x else "0") if type(x) is bool
+                 else _fmt(x) for x in row]
+        line = ",".join(cells)
+        # a line with more commas than separators has a cell holding one
+        if '"' in line or "\r" in line or "\n" in line \
+                or line.count(",") >= len(cells):
+            line = ",".join(
+                '"' + c.replace('"', '""') + '"'
+                if any(ch in c for ch in ',"\r\n') else c for c in cells)
+        elif not line and cells:
+            line = '""'
+        lines.append(line + "\r\n")
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        # an exact type test: bool subclasses int and np.float64 float, and
-        # _fmt writes both its own way. Each distinct nonzero float is
-        # formatted once per file; a zero goes to csv.writer as it is, since
-        # -0.0 == 0.0 as dict keys and each keeps its own repr
-        w.writerows([text[x] if type(x) is float and x else
-                     x if type(x) in _NATIVE else _fmt(x) for x in row]
-                    for row in rows)
+        f.writelines(lines)
 
 
 def _write_manifest(outdir: Path, command: str, cfg: dict):

@@ -534,20 +534,21 @@ def _dots(a, b):
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _prior_grid(problems, rate_tol=DEFAULT_RATE_TOL) -> list[list[RDPoint]]:
+def _prior_bank(problems, rate_tol):
     """solve_rd_with_prior over a bank of problems (instance, sender, prior,
     budgets), each set up once, every search of the bank in lockstep.
 
     The distortion rows, the prior's reach and log, and the rate-zero rows
     depend on the instance, the sender and the prior alone, and are set up
     at once for each group of problems whose shapes and positive-mass
-    datasets agree; every budget the prior row meets gets its problem's one
-    rate-zero q_tilde, with its own epsilon. The other budgets are searched
-    together: the searches whose kept-dataset x hypothesis shape agree share
-    one batched tilt per multiplier step, and the finished points of each
-    group get their rows at once, which gives each search the bits it gets
-    alone. Problems and budgets are checked in order, so the first bad one
-    raises. Returns each problem's points in budget order.
+    datasets agree. A budget the prior row meets is marked, not solved: its
+    answer is the problem's one rate-zero q_tilde. The other budgets are
+    searched together: the searches whose kept-dataset x hypothesis shape
+    agree share one batched tilt per multiplier step, and the finished
+    points of each group get their rows at once, which gives each search the
+    bits it gets alone. Problems and budgets are checked in order, so the
+    first bad one raises. Returns each problem's (points in budget order,
+    None where marked; its rate-zero q_tilde; that row's distortion).
     """
     groups = {}
     for k, (instance, q_sender, prior, _) in enumerate(problems):
@@ -561,7 +562,7 @@ def _prior_grid(problems, rate_tol=DEFAULT_RATE_TOL) -> list[list[RDPoint]]:
         where.update((k, (len(setups), j)) for j, k in enumerate(members))
         setups.append(_prior_setup([problems[k][:3] for k in members]))
 
-    points, banks = [], {}
+    solved, banks = [], {}
     for k, (instance, q_sender, prior, epsilons) in enumerate(problems):
         if k not in where:
             _check_rows(q_sender, instance)
@@ -578,14 +579,11 @@ def _prior_grid(problems, rate_tol=DEFAULT_RATE_TOL) -> list[list[RDPoint]]:
                     f"budget {epsilon} unreachable inside the prior support "
                     f"(best achievable {d_inf}); the rate is infinite"
                 )
-            if delta_prior <= epsilon + FEAS_DUST:
-                pts.append(_constant_point(epsilon, setup.const[j],
-                                           delta_prior))
-            else:
+            if delta_prior > epsilon + FEAS_DUST:
                 banks.setdefault(setup.dk.shape[1:], {}).setdefault(
                     gi, []).append((j, epsilon, pts, len(pts)))
-                pts.append(None)
-        points.append(pts)
+            pts.append(None)
+        solved.append((pts, setup.const[j], delta_prior))
 
     for parts in banks.values():
         searches, columns = [], []
@@ -615,7 +613,16 @@ def _prior_grid(problems, rate_tol=DEFAULT_RATE_TOL) -> list[list[RDPoint]]:
                     epsilon=epsilon, rate=max(rate, 0.0), distortion=delta,
                     slope=slope, q_tilde=q_tilde, iterations=iters,
                     duality_gap=gap)
-    return points
+    return solved
+
+
+def _prior_grid(problems, rate_tol=DEFAULT_RATE_TOL) -> list[list[RDPoint]]:
+    """_prior_bank with one RDPoint per budget, a marked one its problem's
+    rate-zero point around the problem's one q_tilde, at its own epsilon."""
+    return [[_constant_point(eps, q_tilde, delta) if pt is None else pt
+             for eps, pt in zip(map(float, epsilons), pts)]
+            for (*_, epsilons), (pts, q_tilde, delta)
+            in zip(problems, _prior_bank(problems, rate_tol))]
 
 
 def rd_curve(instance: ProblemInstance, q_sender: Posterior, epsilons,

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import BoundViolationError, InvariantViolationError
 from .learning import (LearningRule, Posterior, _rule_rows, d_sem,
                        dataset_scores)
-from .rate_distortion import _prior_grid, solve_dr, solve_rd
+from .rate_distortion import _prior_bank, solve_dr, solve_rd
 from .spaces import (
     ProblemInstance,
     _clean_rows,
@@ -214,46 +214,48 @@ def verify_bound(cases) -> list[list[BoundCheckRow]]:
     for each case (instance, q_alice, prior, epsilon_grid) of a bank.
 
     A case's reference rate is its budget-zero optimum under its prior. The
-    whole bank's budgets are solved in one lockstep call of the prior
-    solver; the checks then run case by case. Measured distortion is
-    recomputed from the distortion definition, not read off the solver, so
-    the check crosses two code paths: one d_sem per distinct solved point
-    of a case, which the budgets the prior row meets share. Any violation
-    beyond BOUND_TOL raises with the serialized instance and the case's
-    index in the bank attached. Returns each case's rows.
+    whole bank's budgets go to one lockstep call of the prior bank solver,
+    which marks the budgets the prior row meets; the checks then run case by
+    case, once per distinct point, the marked budgets sharing the case's
+    rate-zero row. Measured distortion is recomputed from the distortion
+    definition, not read off the solver, so the check crosses two code
+    paths. Any violation beyond BOUND_TOL raises at its first budget, with
+    the serialized instance and the case's index in the bank attached.
+    Returns each case's rows, one per budget.
     """
     grids = [[float(eps) for eps in grid] for *_, grid in cases]
     # a budget of 0 is the reference point itself; the solve is deterministic
     budgets = [[0.0] + [eps for eps in grid if eps != 0.0] for grid in grids]
-    solved = _prior_grid(
+    solved = _prior_bank(
         [(instance, q_alice, prior, b)
          for (instance, q_alice, prior, _), b in zip(cases, budgets)],
         rate_tol=_VERIFY_RATE_TOL)
     checked = []
-    for case, ((instance, q_alice, *_), grid, b, pts) in enumerate(
-            zip(cases, grids, budgets, solved)):
+    for case, ((instance, q_alice, *_), grid, b, (pts, q_zero, _)) in \
+            enumerate(zip(cases, grids, budgets, solved)):
         points = dict(zip(b, pts))
-        r_star = points[0.0].rate
-        rows = []
-        q_measured = rate = None
+        r_star = 0.0 if pts[0] is None else pts[0].rate
+        checks, rows = {}, []  # by id of point; a marked budget's is None
         for eps in grid:
             point = points[eps]
-            # budgets the prior row meets share one q_tilde, at rate 0
-            if point.q_tilde is not q_measured or point.rate != rate:
-                q_measured, rate = point.q_tilde, point.rate
+            check = checks.get(id(point))
+            if check is None:
+                rate, q_tilde = (0.0, q_zero) if point is None else \
+                    (point.rate, point.q_tilde)
                 delta_r = max(r_star - rate, 0.0)
                 bound = distortion_rate_bound(delta_r,
                                               instance.hypotheses.l_max)
-                measured = d_sem(q_alice, q_measured, instance)
-            if measured > bound + BOUND_TOL:
-                raise BoundViolationError(
-                    f"distortion {measured} exceeds ceiling {bound} + "
-                    f"{BOUND_TOL} at eps={eps} (rate {point.rate}, "
-                    f"reference {r_star})",
-                    instance_json=problem_instance_to_json(instance),
-                    case=case,
-                )
-            rows.append(BoundCheckRow(eps, point.rate, r_star, delta_r,
-                                      bound, measured))
+                measured = d_sem(q_alice, q_tilde, instance)
+                if measured > bound + BOUND_TOL:
+                    raise BoundViolationError(
+                        f"distortion {measured} exceeds ceiling {bound} + "
+                        f"{BOUND_TOL} at eps={eps} (rate {rate}, "
+                        f"reference {r_star})",
+                        instance_json=problem_instance_to_json(instance),
+                        case=case,
+                    )
+                check = checks[id(point)] = (rate, r_star, delta_r, bound,
+                                             measured)
+            rows.append(BoundCheckRow(eps, *check))
         checked.append(rows)
     return checked

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beliefcomm import problem_instance_to_json, random_instance
@@ -514,11 +514,17 @@ _CSV_CELLS = st.one_of(
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(rows=st.lists(st.lists(_CSV_CELLS, max_size=6).map(tuple),
                      max_size=5))
+@example(rows=[("",)])
+@example(rows=[()])
+@example(rows=[("\r",)])
+@example(rows=[('a""b',)])
+@example(rows=[(np.str_('x,"y'), np.str_(""))])
 def test_write_csv_matches_the_fmt_rows(rows):
-    """Native cells go to csv.writer as they are and give the bytes that
-    _fmt gave; every other cell still goes through _fmt. Each distinct float
-    is formatted once per file, and a column of zeros of both signs, nans
-    and infinities keeps each cell's own text."""
+    """The joined lines give the bytes that csv.writer gave with every cell
+    through _fmt: quoting, the one-empty-field row and the empty row
+    included. Each distinct float is formatted once per file, and a column
+    of zeros of both signs, nans and infinities keeps each cell's own
+    text."""
     rows = rows + [(x, 1.5) for x in (0.0, -0.0, math.nan, math.inf, -0.0,
                                       -math.inf, 0.0, float("nan"), 1.5)]
     header = ["a", "b,c", 'd"e']

@@ -204,8 +204,8 @@ def test_verify_bound_solves_the_budget_zero_point_once(monkeypatch):
         calls.append([list(budgets) for *_, budgets in problems])
         return solve(problems, **kwargs)
 
-    solve = schemes._prior_grid
-    monkeypatch.setattr(schemes, "_prior_grid", counted)
+    solve = schemes._prior_bank
+    monkeypatch.setattr(schemes, "_prior_bank", counted)
     worlds = []
     for seed in (3, 11):
         inst = random_instance(np.random.default_rng(seed), n_concepts=2,
@@ -258,3 +258,41 @@ def test_verify_bound_measures_each_distinct_point_once(monkeypatch):
     [rows] = verify_bound([(inst, q, q.marginal, grid)])
     assert len(receivers) == len({id(x) for x in receivers}) == 4
     assert [row.measured for row in rows[3:]] == [rows[3].measured] * 3
+
+
+def test_verify_bound_builds_no_point_for_a_budget_the_prior_row_meets(
+        monkeypatch):
+    """verify_bound builds an RDPoint only for the budgets it searches: the
+    last three budgets of the grid above, which the prior row meets, get
+    none, while rd_curve on the same grid still returns one point per
+    budget, each with its own epsilon."""
+    from beliefcomm import rate_distortion
+
+    built, constant = [], []
+
+    class Counted(rate_distortion.RDPoint):
+        def __post_init__(self):
+            built.append(self.epsilon)
+            super().__post_init__()
+
+    def counted(epsilon, q_tilde, delta):
+        constant.append(epsilon)
+        return point(epsilon, q_tilde, delta)
+
+    point = rate_distortion._constant_point
+    monkeypatch.setattr(rate_distortion, "RDPoint", Counted)
+    monkeypatch.setattr(rate_distortion, "_constant_point", counted)
+    inst, q, _ = sharp_sender(11)
+    dmat, base = effective_distortion_matrix(inst, q)
+    delta_prior = float(inst.p_s @ (dmat @ q.marginal.probs)) - base
+    grid = [f * delta_prior for f in (0.0, 0.25, 0.5, 1.0, 1.5, 3.0)]
+    [rows] = verify_bound([(inst, q, q.marginal, grid)])
+    assert [row.epsilon for row in rows] == grid
+    assert built == grid[:3] and constant == []
+    assert [row.rate for row in rows[3:]] == [0.0] * 3
+
+    built.clear()
+    curve = rate_distortion.rd_curve(inst, q, grid, prior=q.marginal)
+    assert [pt.epsilon for pt in curve.points] == built == grid
+    assert constant == grid[3:]
+    assert [pt.rate for pt in curve.points[3:]] == [0.0] * 3
